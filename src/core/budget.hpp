@@ -110,9 +110,16 @@ class RootBudget final : public PrivacyBudget {
 /// Shared state between the sibling parts of one Partition operation.
 /// The parent is charged only the amount by which the maximum child total
 /// grows, so the parent's cost equals max over children, per PINQ.
+///
+/// Which part's release raises the max depends on the thread schedule
+/// when parts run concurrently, so the parent charges are made under the
+/// partitioned plan node's id (`plan_node`, when non-zero) rather than
+/// the releasing part's: an AuditingBudget above the partition then
+/// stamps the same node on those entries whatever the schedule.
 class PartitionGroup {
  public:
-  explicit PartitionGroup(std::shared_ptr<PrivacyBudget> parent);
+  explicit PartitionGroup(std::shared_ptr<PrivacyBudget> parent,
+                          std::uint64_t plan_node = 0);
 
   [[nodiscard]] bool can_raise_to(double child_total) const;
   void raise_to(double child_total);
@@ -124,6 +131,7 @@ class PartitionGroup {
  private:
   mutable std::mutex mutex_;
   std::shared_ptr<PrivacyBudget> parent_;
+  std::uint64_t plan_node_;
   double max_child_ = 0.0;
 };
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include "core/errors.hpp"
 #include "core/failpoint.hpp"
@@ -27,9 +28,25 @@ std::string chain_hex(std::uint64_t h) {
   return std::string(buf);
 }
 
-/// Serializes one record WITHOUT its closing brace or chain field; the
-/// caller hashes these bytes and appends `,"chain":"..."}`.  The chain
-/// therefore covers every serialized byte of the record body.
+void append_chained(std::string& out, const std::string& body,
+                    std::uint64_t& chain) {
+  chain = fnv1a(body, chain);
+  out += body;
+  out += ",\"chain\":\"";
+  out += chain_hex(chain);
+  out += "\"}\n";
+}
+
+/// The serialized object WITHOUT its closing brace: the caller hashes
+/// these bytes and appends `,"chain":"..."}`, so the chain covers every
+/// serialized byte of the line.
+std::string open_body(JsonWriter& w) {
+  w.end_object();
+  std::string body = w.str();
+  body.pop_back();
+  return body;
+}
+
 std::string record_body(const Event& e, bool canonical,
                         std::uint64_t canonical_seq) {
   JsonWriter w;
@@ -41,10 +58,7 @@ std::string record_body(const Event& e, bool canonical,
   w.key("eps").value(e.eps);
   w.key("detail").value(e.detail);
   if (!canonical) w.key("ts_us").value(e.ts_us);
-  w.end_object();
-  std::string body = w.str();
-  body.pop_back();  // drop '}' — the chain field is appended by the caller
-  return body;
+  return open_body(w);
 }
 
 std::string header_body(std::uint64_t events, std::uint64_t dropped) {
@@ -53,26 +67,52 @@ std::string header_body(std::uint64_t events, std::uint64_t dropped) {
   w.key("schema").value("dpnet.events.v1");
   w.key("events").value(events);
   w.key("dropped").value(dropped);
-  w.end_object();
-  std::string body = w.str();
-  body.pop_back();
-  return body;
+  return open_body(w);
 }
 
-void append_chained(std::string& out, const std::string& body,
-                    std::uint64_t& chain) {
-  chain = fnv1a(body, chain);
-  out += body;
-  out += ",\"chain\":\"";
-  out += chain_hex(chain);
-  out += "\"}\n";
+/// A sealed log's records in arrival order, closed by a seal counting
+/// every record the log holds once it lands.
+std::string sealed_records(const std::vector<Event>& events,
+                           std::uint64_t records, std::uint64_t dropped,
+                           std::uint64_t& chain) {
+  std::string out;
+  for (const Event& e : events) {
+    append_chained(out, record_body(e, false, 0), chain);
+  }
+  JsonWriter w;
+  w.begin_object();
+  w.key("seal").value(records);
+  w.key("dropped").value(dropped);
+  append_chained(out, open_body(w), chain);
+  return out;
 }
 
-/// Best-effort fsync of `path`'s directory so the rename that published
-/// a new journal is itself durable.  Some filesystems refuse fsync on a
-/// directory fd; that only weakens durability of the very latest flush,
-/// never atomicity, so failures are ignored.
-void sync_parent_dir(const std::string& path) {
+}  // namespace
+
+void publish_atomically(const std::string& path, std::string_view doc,
+                        const char* failpoint, const std::string& noun) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) {
+    throw DpError("cannot write " + noun + " to " + tmp);
+  }
+  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
+  const bool flushed = std::fflush(f) == 0;
+  const bool synced = flushed && ::fsync(::fileno(f)) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (written != doc.size() || !synced || !closed) {
+    std::remove(tmp.c_str());
+    throw DpError("short write flushing " + noun + " to " + tmp);
+  }
+  // A throw injected here models a crash after the temp file is durable
+  // but before it is published; the previous file must still be intact.
+  failpoint::hit(failpoint, path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw DpError("cannot replace " + noun + " at " + path);
+  }
+  // Make the rename itself durable.  Some filesystems refuse fsync on a
+  // directory; that weakens only the latest publish, never atomicity.
   const std::size_t slash = path.find_last_of('/');
   const std::string dir =
       slash == std::string::npos ? std::string(".") : path.substr(0, slash);
@@ -83,8 +123,6 @@ void sync_parent_dir(const std::string& path) {
     ::close(fd);
   }
 }
-
-}  // namespace
 
 EventJournal& EventJournal::global() {
   static EventJournal journal;
@@ -156,31 +194,6 @@ std::uint64_t EventJournal::dropped() const {
   return dropped_;
 }
 
-std::size_t EventJournal::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-std::size_t EventJournal::capacity() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void EventJournal::reserve(std::size_t capacity) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity <= capacity_) return;
-  // Linearize a wrapped ring before the bound moves: the oldest event
-  // must stay at index head_ == 0 once inserts start landing past the
-  // old capacity.
-  if (head_ != 0) {
-    std::rotate(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
-                ring_.end());
-    head_ = 0;
-  }
-  capacity_ = capacity;
-}
-
 void EventJournal::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
@@ -206,36 +219,74 @@ std::string EventJournal::to_jsonl(bool canonical) const {
 
 void EventJournal::flush_to_file(const std::string& path,
                                  bool canonical) const {
-  const std::string doc = to_jsonl(canonical);
-  // Crash-atomic replacement.  The journal file is the budget state of
-  // record for a restarted server: a flush interrupted at any instant
-  // (kill -9, power loss) must leave either the previous complete
-  // journal or the new one on disk — a truncated file would make
-  // recovery refuse startup, and the only operator remedy (deleting the
-  // journal) would refund every spent epsilon.  So: write a temp file
-  // in the same directory, make its bytes durable, then rename() it
-  // over the journal path (atomic on POSIX).
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    throw DpError("cannot write event journal to " + tmp);
+  // The journal file is the budget state of record: a truncated file
+  // would make recovery refuse startup, and the only operator remedy
+  // (deleting the journal) would refund every spent epsilon.
+  publish_atomically(path, to_jsonl(canonical), "obs.journal.flush",
+                     "event journal");
+}
+
+std::vector<Event> EventJournal::drain() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::rotate(ring_.begin(),
+              ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+              ring_.end());
+  head_ = 0;
+  std::vector<Event> out = std::move(ring_);
+  ring_ = {};
+  return out;
+}
+
+JournalLog::JournalLog(std::string path, const std::vector<Event>& events,
+                       std::uint64_t dropped)
+    : path_(std::move(path)), sealed_(events.size()) {
+  JsonWriter header;
+  header.begin_object();
+  header.key("schema").value("dpnet.events.v1");
+  header.key("sealed").value(true);
+  std::string doc;
+  append_chained(doc, open_body(header), chain_);
+  doc += sealed_records(events, sealed_, dropped, chain_);
+  publish_atomically(path_, doc, "obs.journal.flush", "event journal");
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd_ < 0) throw DpError("cannot append to event journal at " + path_);
+  size_ = doc.size();
+}
+
+JournalLog::~JournalLog() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void JournalLog::sync(std::vector<Event> events, std::uint64_t dropped) {
+  held_.insert(held_.end(), std::make_move_iterator(events.begin()),
+               std::make_move_iterator(events.end()));
+  if (held_.empty()) return;  // an earlier sync already made them durable
+  if (fd_ < 0) throw DpError("event journal at " + path_ + " is unusable");
+  std::uint64_t chain = chain_;
+  const std::string tail =
+      sealed_records(held_, sealed_ + held_.size(), dropped, chain);
+  try {
+    if (::pwrite(fd_, tail.data(), tail.size(), static_cast<off_t>(size_)) !=
+        static_cast<ssize_t>(tail.size())) {
+      throw DpError("short write appending to event journal at " + path_);
+    }
+    failpoint::hit("obs.journal.flush", path_);
+    if (::fsync(fd_) != 0) {
+      throw DpError("cannot sync event journal at " + path_);
+    }
+  } catch (...) {
+    // Back to the last seal, so the file still ends at a state that was
+    // durable; the held events go out with the next sync, exactly once.
+    if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+    throw;
   }
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = flushed && ::fsync(::fileno(f)) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != doc.size() || !synced || !closed) {
-    std::remove(tmp.c_str());
-    throw DpError("short write flushing event journal to " + tmp);
-  }
-  // A throw injected here models a crash after the temp file is durable
-  // but before it is published; the previous journal must still verify.
-  failpoint::hit("obs.journal.flush", path);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw DpError("cannot replace event journal at " + path);
-  }
-  sync_parent_dir(path);
+  chain_ = chain;
+  sealed_ += held_.size();
+  size_ += tail.size();
+  held_.clear();
 }
 
 namespace journal_detail {

@@ -6,13 +6,14 @@
 // mediated model also needs the *events* — refusals, guard aborts, task
 // lifecycle, injected faults, quarantined records — in a form that can be
 // flushed to disk, shipped off-box, and verified offline.  EventJournal
-// is that record: an append-only, bounded, lock-protected ring of
-// structured events, flushed as schema-versioned JSONL
-// ("dpnet.events.v1") whose records are FNV-1a hash-chained (the same
-// fingerprint idiom as dpnet-lint) so a single flipped byte breaks the
-// chain.  `dpnet_cli audit verify` replays a flushed journal and
-// reconciles its epsilon sums against the audit ledger and the query
-// trace (docs/observability.md).
+// is that record in memory: an append-only, bounded, lock-protected ring
+// of structured events, written as schema-versioned JSONL
+// ("dpnet.events.v1") — a whole document (flush_to_file) or the query
+// server's sealed log (JournalLog) — whose records are FNV-1a
+// hash-chained (the same fingerprint idiom as dpnet-lint) so a single
+// flipped byte breaks the chain.  `dpnet_cli audit verify` replays a
+// journal and reconciles its epsilon sums against the audit ledger and
+// the query trace (docs/observability.md).
 //
 // Determinism: the canonical flush stable-sorts events by their causal
 // key (plan-node id for charges/refusals, a salted task index for
@@ -20,7 +21,7 @@
 // wall-clock timestamps — so parallel runs of the same pipeline flush a
 // byte-identical canonical journal at any thread count, exactly like the
 // canonical audit ledger (docs/architecture.md).  The arrival-order
-// flush keeps timestamps and original sequence numbers for `audit tail`.
+// flush and the sealed log keep timestamps and original sequence numbers.
 //
 // Privacy stance: events carry accounting metadata only — kinds, labels,
 // node ids, epsilons, operator/mechanism names — never record contents.
@@ -147,28 +148,18 @@ class EventJournal {
   /// ts_us for tailing.
   [[nodiscard]] std::string to_jsonl(bool canonical = true) const;
 
-  /// Atomically replaces `path` with to_jsonl(): the document is written
-  /// to a same-directory temp file, fsynced, then rename()d over `path`,
-  /// so a crash at any instant leaves either the previous complete
-  /// journal or the new one — never a truncated hybrid (the journal file
-  /// is the budget state of record for crash recovery).  Throws DpError
-  /// on I/O failure; the `obs.journal.flush` failpoint fires between
-  /// durability and publication.
+  /// Atomically replaces `path` with to_jsonl() (publish_atomically: a
+  /// crash at any instant leaves either the previous complete journal or
+  /// the new one — never a truncated hybrid).  Throws DpError on I/O
+  /// failure; the `obs.journal.flush` failpoint fires between durability
+  /// and publication.
   void flush_to_file(const std::string& path, bool canonical = true) const;
 
-  /// Events currently retained (at most capacity()).
-  [[nodiscard]] std::size_t size() const;
-
-  /// The ring bound; appends beyond it overwrite the oldest event and
-  /// count in dropped().
-  [[nodiscard]] std::size_t capacity() const;
-
-  /// Raises the ring bound to `capacity` (a smaller or equal request is
-  /// a no-op — the ring never shrinks, so retained events are never
-  /// discarded).  Long-lived servers size the ring up front and refuse
-  /// work that would make it drop, keeping the flushed journal a
-  /// complete record (serve::QueryServer).
-  void reserve(std::size_t capacity);
+  /// Moves the retained events out in arrival order and empties the ring
+  /// (appended/dropped keep counting).  A journaled query server syncs
+  /// what it drains, so its ring only ever holds events not yet on disk
+  /// and a drop can never forget an event that is already durable.
+  [[nodiscard]] std::vector<Event> drain();
 
  private:
   mutable std::mutex mutex_;
@@ -177,6 +168,50 @@ class EventJournal {
   std::size_t head_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t dropped_ = 0;
+};
+
+/// Replaces `path` with `doc` so a crash at any instant leaves either the
+/// previous complete file or the new one: same-directory temp file,
+/// fsync, rename(), then a best-effort fsync of the directory.  Shared
+/// by every ops artifact a crashed process leaves behind (journals,
+/// flight dumps, ops snapshots).  Throws DpError naming the artifact by
+/// `noun`; `failpoint` fires after the fsync, before the rename.
+void publish_atomically(const std::string& path, std::string_view doc,
+                        const char* failpoint, const std::string& noun);
+
+/// The append-only sealed log behind `dpnet_cli serve --journal`: a
+/// header {"schema","sealed":true,"chain"}, events in arrival order, and
+/// after every sync a seal {"seal":N,"dropped":D,"chain"} continuing the
+/// hash chain (N = records before it).  A seal marks a state the writer
+/// fsynced; verify_journal_text reads the log as of its last seal.
+/// Callers serialize syncs.
+class JournalLog {
+ public:
+  /// Startup compaction: publishes header + `events` + seal over `path`
+  /// crash-atomically (failpoint `obs.journal.flush`) and keeps it open
+  /// for appends.  Throws DpError on I/O failure.
+  JournalLog(std::string path, const std::vector<Event>& events,
+             std::uint64_t dropped);
+  ~JournalLog();
+
+  JournalLog(const JournalLog&) = delete;
+  JournalLog& operator=(const JournalLog&) = delete;
+
+  /// Appends `events` — after any held from a failed sync — and a seal,
+  /// then fsyncs; writes nothing when there is nothing to append.  On
+  /// failure (the `obs.journal.flush` failpoint fires between the write
+  /// and the fsync) the file is cut back to its last seal, the events
+  /// stay held, and the error propagates.  If even the cut fails, every
+  /// later sync throws rather than append past unknown bytes.
+  void sync(std::vector<Event> events, std::uint64_t dropped);
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t chain_ = kFnvOffset;  // link of the last seal
+  std::uint64_t sealed_ = 0;          // records before the last seal
+  std::uint64_t size_ = 0;            // bytes through the last seal
+  std::vector<Event> held_;           // drained but not yet durable
 };
 
 namespace journal_detail {
@@ -280,11 +315,15 @@ struct JournalVerification {
   std::uint64_t faults = 0;
   std::uint64_t quarantined = 0;
   std::uint64_t alerts = 0;  // budget.alert events (burn-rate forecasts)
+  std::size_t unsealed_bytes = 0;  // sealed logs: ignored after last seal
 };
 
 /// Replays a flushed journal: validates the header, every record's
 /// shape, the seq numbering, and the full hash chain; tallies the event
-/// sums.  Never throws — structural problems come back as ok == false.
+/// sums.  A whole document must hold exactly the records its header
+/// declares; a sealed log reports its state at the last seal, ignoring
+/// what follows it (unsealed_bytes) but still verifying every complete
+/// line.  Never throws — structural problems come back as ok == false.
 [[nodiscard]] JournalVerification verify_journal_text(std::string_view text);
 
 /// verify_journal_text over the contents of `path` (unreadable file =>

@@ -1,15 +1,10 @@
 #include "core/obs/recorder.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
-#include "core/errors.hpp"
-#include "core/failpoint.hpp"
 #include "core/json.hpp"
+#include "core/obs/journal.hpp"
 #include "core/trace.hpp"
 
 namespace dpnet::core::obs {
@@ -27,21 +22,6 @@ std::string moment_line(const Moment& m) {
   w.key("detail").value(m.detail);
   w.end_object();
   return w.str();
-}
-
-/// Best-effort fsync of `path`'s directory (same stance as the journal
-/// flush: failures weaken durability of the very latest dump, never
-/// atomicity, so they are ignored).
-void sync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-  const int fd = ::open(dir.empty() ? "/" : dir.c_str(),
-                        O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 }  // namespace
@@ -98,30 +78,6 @@ std::uint64_t FlightRecorder::dropped() const {
   return dropped_;
 }
 
-std::size_t FlightRecorder::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-std::size_t FlightRecorder::capacity() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void FlightRecorder::reserve(std::size_t capacity) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity <= capacity_) return;
-  // Linearize a wrapped ring before the bound moves (the oldest moment
-  // must sit at head_ == 0 once inserts land past the old capacity).
-  if (head_ != 0) {
-    std::rotate(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
-                ring_.end());
-    head_ = 0;
-  }
-  capacity_ = capacity;
-}
-
 void FlightRecorder::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
@@ -151,30 +107,10 @@ std::string FlightRecorder::to_jsonl() const {
 }
 
 void FlightRecorder::dump_to_file(const std::string& path) const {
-  const std::string doc = to_jsonl();
-  // Crash-atomic replacement, same idiom as the journal flush: the dump
-  // a crashed server leaves behind must always be a complete document —
-  // a torn flight dump would be worse than none when reconstructing an
-  // incident.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    throw DpError("cannot write flight dump to " + tmp);
-  }
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool synced = flushed && ::fsync(::fileno(f)) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != doc.size() || !synced || !closed) {
-    std::remove(tmp.c_str());
-    throw DpError("short write flushing flight dump to " + tmp);
-  }
-  failpoint::hit("obs.flight.dump", path);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw DpError("cannot replace flight dump at " + path);
-  }
-  sync_parent_dir(path);
+  // The dump a crashed server leaves behind must always be a complete
+  // document — a torn flight dump would be worse than none when
+  // reconstructing an incident.
+  publish_atomically(path, to_jsonl(), "obs.flight.dump", "flight dump");
 }
 
 namespace recorder_detail {

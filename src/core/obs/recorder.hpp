@@ -73,13 +73,6 @@ class FlightRecorder {
   /// counting from where they were).
   void clear();
 
-  /// Moments currently retained (at most capacity()).
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
-
-  /// Raises the ring bound (a smaller or equal request is a no-op).
-  void reserve(std::size_t capacity);
-
   /// Serializes the ring as JSONL, schema "dpnet.flight.v1": a header
   /// line {"schema","moments","dropped"} followed by one moment per
   /// line in arrival order.  No hash chain — the dump is diagnostic

@@ -1,9 +1,9 @@
 // Offline journal verification: replays a "dpnet.events.v1" JSONL
-// document, recomputes the FNV-1a hash chain link by link, and tallies
-// the event sums that `dpnet_cli audit verify` reconciles against the
-// audit ledger and the query trace.  This is the library half of the
-// chaos suite's in-process invariant, turned into an artifact check an
-// operator can run long after the process died.
+// document or sealed log, recomputes the FNV-1a hash chain link by
+// link, and tallies the event sums that `dpnet_cli audit verify`
+// reconciles against the audit ledger and the query trace.  This is the
+// library half of the chaos suite's in-process invariant, turned into an
+// artifact check an operator can run long after the process died.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,19 +23,30 @@ JournalVerification failed(std::size_t line_no, const std::string& why) {
   return v;
 }
 
+constexpr std::string_view kChainMarker = ",\"chain\":\"";
+constexpr std::size_t kChainTail = 16 + 2;  // hex digits + closing "}
+
 /// Splits one journal line into the hashed body and the stored chain
 /// link.  The chain field is by construction the final member of every
 /// line, so everything before `,"chain":"` is exactly what was hashed.
 bool split_chain(std::string_view line, std::string_view& body,
                  std::string_view& stored_hex) {
-  static constexpr std::string_view kMarker = ",\"chain\":\"";
-  const std::size_t pos = line.rfind(kMarker);
+  const std::size_t pos = line.rfind(kChainMarker);
   if (pos == std::string_view::npos) return false;
   body = line.substr(0, pos);
-  std::string_view rest = line.substr(pos + kMarker.size());
-  if (rest.size() != 16 + 2 || rest.substr(16) != "\"}") return false;
+  std::string_view rest = line.substr(pos + kChainMarker.size());
+  if (rest.size() != kChainTail || rest.substr(16) != "\"}") return false;
   stored_hex = rest.substr(0, 16);
   return true;
+}
+
+/// True when a final, newline-less line stops before its chain field is
+/// complete — all a crash mid-append can leave.  A line whose chain field
+/// is complete is whole (or damaged) and must verify like any other.
+bool cut_short(std::string_view line) {
+  const std::size_t pos = line.rfind(kChainMarker);
+  return pos == std::string_view::npos ||
+         line.size() - pos - kChainMarker.size() < kChainTail;
 }
 
 bool parse_hex64(std::string_view hex, std::uint64_t& out) {
@@ -57,10 +68,14 @@ bool parse_hex64(std::string_view hex, std::uint64_t& out) {
 
 JournalVerification verify_journal_text(std::string_view text) {
   JournalVerification v;
+  JournalVerification sealed;  // sealed logs: the tallies at the last seal
   std::uint64_t chain = kFnvOffset;
   std::size_t line_no = 0;
   std::uint64_t declared_events = 0;
   bool saw_header = false;
+  bool log = false;  // the header opened a sealed log
+  const std::size_t total_bytes = text.size();
+  std::size_t sealed_bytes = 0;  // through the last seal line
   double last_seq = -1.0;
 
   while (!text.empty()) {
@@ -70,6 +85,7 @@ JournalVerification verify_journal_text(std::string_view text) {
     text = nl == std::string_view::npos ? std::string_view{}
                                         : text.substr(nl + 1);
     if (line.empty()) continue;  // a trailing newline is fine
+    if (log && nl == std::string_view::npos && cut_short(line)) break;
 
     std::string_view body;
     std::string_view stored_hex;
@@ -105,13 +121,32 @@ JournalVerification verify_journal_text(std::string_view text) {
       }
       const JsonValue* events = doc.find("events");
       const JsonValue* dropped = doc.find("dropped");
-      if (events == nullptr || !events->is_number() || dropped == nullptr ||
-          !dropped->is_number()) {
+      const JsonValue* flag = doc.find("sealed");
+      log = flag != nullptr && flag->is_bool() && flag->boolean;
+      if (!log && (events == nullptr || !events->is_number() ||
+                   dropped == nullptr || !dropped->is_number())) {
         return failed(line_no, "header missing numeric events/dropped");
       }
-      declared_events = static_cast<std::uint64_t>(events->number);
-      v.dropped = static_cast<std::uint64_t>(dropped->number);
+      if (!log) {
+        declared_events = static_cast<std::uint64_t>(events->number);
+        v.dropped = static_cast<std::uint64_t>(dropped->number);
+      }
       saw_header = true;
+      ++line_no;
+      continue;
+    }
+
+    if (const JsonValue* seal = doc.find("seal"); log && seal != nullptr) {
+      const JsonValue* dropped = doc.find("dropped");
+      if (!seal->is_number() || dropped == nullptr || !dropped->is_number()) {
+        return failed(line_no, "seal missing numeric seal/dropped");
+      }
+      if (static_cast<std::uint64_t>(seal->number) != v.events) {
+        return failed(line_no, "seal count differs from the records before it");
+      }
+      v.dropped = static_cast<std::uint64_t>(dropped->number);
+      sealed = v;
+      sealed_bytes = total_bytes - text.size();
       ++line_no;
       continue;
     }
@@ -161,6 +196,14 @@ JournalVerification verify_journal_text(std::string_view text) {
 
   if (!saw_header) {
     return failed(0, "empty document (no header line)");
+  }
+  if (log) {
+    // Everything after the last seal was never acknowledged: a crash
+    // mid-append, which recovery must neither count nor refuse.
+    if (sealed_bytes == 0) return failed(0, "sealed log has no seal line");
+    sealed.ok = true;
+    sealed.unsealed_bytes = total_bytes - sealed_bytes;
+    return sealed;
   }
   if (v.events != declared_events) {
     return failed(line_no == 0 ? 0 : line_no - 1,

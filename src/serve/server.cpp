@@ -45,18 +45,13 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
       root_(std::make_shared<core::RootBudget>(cfg_.dataset_budget)),
       pool_(std::max<std::size_t>(1, cfg_.threads)) {
   // The server claims the process-wide journal: the ring is cleared so
-  // every flush of journal_path reflects exactly this server's
-  // accounting (recovery charges included), nothing inherited from
-  // whatever ran earlier in the process.  The ring is sized up front —
-  // with a floor that always fits recovery's per-analyst charges plus
-  // one request — because a ring that drops an event can never be
-  // replayed; once retained events approach the bound, dispatch answers
-  // "journal-full" instead (drain_loop).
+  // the journal file reflects exactly this server's accounting (recovery
+  // charges included), nothing inherited from whatever ran earlier in
+  // the process.
   core::obs::set_journal_armed(true);
-  core::obs::EventJournal::global().reserve(
-      std::max(cfg_.journal_capacity,
-               journal_headroom() + cfg_.max_sessions));
-  core::obs::EventJournal::global().clear();
+  core::obs::EventJournal& journal = core::obs::EventJournal::global();
+  journal.clear();
+  journal_dropped_base_ = journal.dropped();
   // The flight recorder and burn tracker are claimed the same way: the
   // black box and the forecasts reflect this server's lifetime only.
   core::obs::FlightRecorder::global().clear();
@@ -67,7 +62,14 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
         cfg_.ops_snapshot_path,
         std::chrono::milliseconds(cfg_.ops_snapshot_interval_ms));
   }
-  if (!cfg_.journal_path.empty()) recover_from_journal(cfg_.journal_path);
+  if (!cfg_.journal_path.empty()) {
+    recover_from_journal(cfg_.journal_path);
+    // Startup compaction: the recovered spends become the first sealed
+    // state of a fresh log, published crash-atomically over the old one.
+    journal_log_ = std::make_unique<core::obs::JournalLog>(
+        cfg_.journal_path, journal.drain(),
+        journal.dropped() - journal_dropped_base_);
+  }
   // Arm burn alerting only after recovery: replayed charges land in one
   // burst and would otherwise fire a spurious alert at every restart.
   if (cfg_.burn_alert_eta_s > 0.0) {
@@ -272,52 +274,31 @@ void QueryServer::drain_loop() {
         static_cast<double>(queued_total_));
     session->running = true;
     ++running_total_;
-    // Ring-headroom check, under the lock so running_total_ is exact:
-    // every in-flight request (this one included) gets a reserved slice
-    // of the remaining ring, so concurrent executions can never jointly
-    // push the ring into dropping — a dropped event would make the
-    // flushed journal unreplayable and strand the next restart.
-    const core::obs::EventJournal& journal = core::obs::EventJournal::global();
-    const bool journal_full = journal.capacity() - journal.size() <
-                              journal_headroom() * running_total_;
-    const std::size_t in_flight = running_total_;
     lock.unlock();
 
-    std::string response;
-    if (journal_full) {
-      // Not retryable: only an operator restart with a larger
-      // --journal-capacity clears it (recovery replays the spends, so
-      // the restart loses nothing).
-      core::builtin_metrics::serve_requests_shed().increment();
-      witness_decision(core::obs::LogLevel::kWarn, "serve.shed",
-                       session->analyst, 0.0, "journal-full", in_flight);
+    std::string response = execute(*session, pending.request,
+                                   pending.admitted);
+    try {
+      // Durability before acknowledgement: if the analyst observes a
+      // response, the charge behind it is already on disk.
+      flush_journal();
+    } catch (...) {
+      // The charge stands but could not be made durable; withhold the
+      // release value rather than hand out an answer a crash would
+      // disown.
+      core::obs::log_event(core::obs::LogLevel::kError, "serve.error",
+                           session->analyst, 0.0, "journal-flush");
       response = protocol::error_response(pending.request.id,
                                           session->analyst,
-                                          {"journal-full", false});
-    } else {
-      response = execute(*session, pending.request, pending.admitted);
-      try {
-        // Durability before acknowledgement: if the analyst observes a
-        // response, the charge behind it is already on disk.
-        flush_journal();
-      } catch (...) {
-        // The charge stands but could not be made durable; withhold the
-        // release value rather than hand out an answer a crash would
-        // disown.
-        core::obs::log_event(core::obs::LogLevel::kError, "serve.error",
-                             session->analyst, 0.0, "journal-flush");
-        response = protocol::error_response(pending.request.id,
-                                            session->analyst,
-                                            {"internal", false});
-      }
-      // The black box rides the journal cadence: after every flushed
-      // response the on-disk dump's trailing events match the flushed
-      // journal's, so a kill -9 between requests leaves reconcilable
-      // artifacts.  The live snapshot is cadence-limited, so this is
-      // one clock read on most iterations.
-      dump_flight();
-      write_ops_snapshot();
+                                          {"internal", false});
     }
+    // The black box rides the journal cadence: after every synced
+    // response the on-disk dump's trailing events match the journal's,
+    // so a kill -9 between requests leaves reconcilable artifacts.  The
+    // live snapshot is cadence-limited, so this is one clock read on
+    // most iterations.
+    dump_flight();
+    write_ops_snapshot();
     write_response(session->analyst, pending.sink, response);
 
     lock.lock();
@@ -330,10 +311,6 @@ void QueryServer::drain_loop() {
   }
   --drainers_;
   if (queued_total_ == 0 && running_total_ == 0) drained_cv_.notify_all();
-}
-
-std::size_t QueryServer::journal_headroom() const {
-  return 8 + 8 * pool_.size();
 }
 
 std::string QueryServer::execute(
@@ -482,17 +459,22 @@ std::string QueryServer::trace_json() const {
   return trace_.to_json();
 }
 
-void QueryServer::flush_journal() const {
-  if (cfg_.journal_path.empty()) return;
+void QueryServer::flush_journal() {
+  if (!journal_log_) return;
   const std::lock_guard<std::mutex> lock(journal_mutex_);
-  core::obs::EventJournal::global().flush_to_file(cfg_.journal_path);
+  // Draining under journal_mutex_ keeps the log in ring order, and is
+  // the group commit: a worker whose events an earlier sync already
+  // drained finds nothing new and returns without writing.
+  core::obs::EventJournal& journal = core::obs::EventJournal::global();
+  journal_log_->sync(journal.drain(),
+                     journal.dropped() - journal_dropped_base_);
 }
 
 void QueryServer::dump_flight() const {
   if (cfg_.flight_path.empty()) return;
   try {
     // journal_mutex_ also serializes dumps so the flight file tracks the
-    // journal file's cadence (flush, then dump, atomically each).
+    // journal file's cadence (sync, then dump).
     const std::lock_guard<std::mutex> lock(journal_mutex_);
     core::obs::FlightRecorder::global().dump_to_file(cfg_.flight_path);
   } catch (...) {

@@ -18,15 +18,13 @@
 // Admission places a request on its analyst's bounded FIFO; a full
 // analyst queue answers "backpressure" (serve.requests.rejected), a
 // full server-wide queue answers "overloaded" (serve.requests.shed),
-// a journal ring without headroom for another request's events answers
-// "journal-full" (also serve.requests.shed — the ring must never drop,
-// see below), and an admitted request that outlives its deadline is
-// aborted by its QueryGuard ("aborted:deadline"), which — by the
-// charge-before-release invariant — charges nothing.  The deadline
-// clock starts at admission, so time spent queued under backpressure
-// counts against it: the guard is constructed with whatever remains of
-// the deadline at dispatch (possibly nothing, in which case its first
-// checkpoint aborts before any charge).
+// and an admitted request that outlives its deadline is aborted by its
+// QueryGuard ("aborted:deadline"), which — by the charge-before-release
+// invariant — charges nothing.  The deadline clock starts at admission,
+// so time spent queued under backpressure counts against it: the guard
+// is constructed with whatever remains of the deadline at dispatch
+// (possibly nothing, in which case its first checkpoint aborts before
+// any charge).
 //
 // Dispatch is round-robin across analysts with AT MOST ONE in-flight
 // request per analyst.  That is a fairness policy and a determinism
@@ -39,19 +37,18 @@
 //
 // Crash safety: every charge and refusal is journaled through
 // src/core/obs/ with the analyst label as its causal key, and the
-// journal is flushed (atomically: temp file + fsync + rename) to disk
-// BEFORE the response frame is handed to the transport — if the analyst
-// saw an answer, the charge is durable.  On restart the server replays
-// the flushed journal (hash-chain verified; a tampered or truncated
-// journal refuses startup) and re-charges each analyst's spent epsilon
-// against fresh budgets: a crash can never refund budget.  Because a
-// journal whose ring dropped events can never be replayed, the server
-// sizes the ring from `journal_capacity` at startup and, when the ring
-// lacks headroom for every in-flight request's worst-case event
-// emission, refuses dispatch with "journal-full" instead of letting an
-// append overwrite history — a long-lived server degrades to explicit
-// refusals, never to an unrecoverable journal.  See "Crash-safe budget
-// recovery" in docs/robustness.md.
+// journal is synced to disk BEFORE the response frame is handed to the
+// transport — if the analyst saw an answer, the charge is durable.  The
+// file is an append-only sealed log (core::obs::JournalLog): startup
+// publishes a fresh, compacted log crash-atomically, and each sync
+// appends only the events drained from the ring since the last one, a
+// seal, and an fsync — so the ring holds only unsynced events and never
+// fills with history, and a sync writes only what is new, however long
+// the server has run.  On restart the server replays the log up to its
+// last seal (hash-chain verified; a tampered journal refuses startup)
+// and re-charges each analyst's spent epsilon against fresh budgets: a
+// crash can never refund budget.  See "Crash-safe budget recovery" in
+// docs/robustness.md.
 #pragma once
 
 #include <chrono>
@@ -69,6 +66,7 @@
 
 #include "core/audit.hpp"
 #include "core/exec/thread_pool.hpp"
+#include "core/obs/journal.hpp"
 #include "core/obs/snapshot.hpp"
 #include "core/queryable.hpp"
 #include "core/trace.hpp"
@@ -90,12 +88,8 @@ struct ServerConfig {
   std::size_t max_sessions = 16;     // distinct analyst principals
   std::string journal_path;  // durable journal; empty = in-memory only.
                              // If the file exists at startup it is
-                             // verified and replayed (budget recovery).
-  std::size_t journal_capacity = std::size_t{1} << 18;
-      // Event-journal ring bound (events, not requests).  The server
-      // refuses dispatch with "journal-full" rather than let the ring
-      // drop — a dropped event would make the flushed journal
-      // unreplayable and strand the next restart.
+                             // verified and replayed (budget recovery),
+                             // then compacted into a fresh sealed log.
   std::string flight_path;  // flight-recorder dump target; empty = no
                             // dumps.  Written atomically alongside every
                             // journal flush, on fault, and at shutdown,
@@ -128,7 +122,8 @@ class QueryServer {
   /// journal: the ring is cleared so the journal file reflects exactly
   /// this server's accounting, then — if `config.journal_path` names an
   /// existing file — the previous incarnation's journal is verified and
-  /// replayed into fresh budgets.  Throws DpError when the journal
+  /// replayed into fresh budgets, and a fresh sealed log holding the
+  /// recovery charges replaces it.  Throws DpError when the journal
   /// fails verification or a recovered spend no longer fits its cap.
   QueryServer(std::vector<net::Packet> records, ServerConfig config);
 
@@ -171,10 +166,11 @@ class QueryServer {
   /// executed request), canonical JSON.
   [[nodiscard]] std::string trace_json() const;
 
-  /// Flushes the event journal to `journal_path` (no-op when unset).
-  /// Called automatically before every response that follows a charge
-  /// or refusal; exposed for a final flush at shutdown.
-  void flush_journal() const;
+  /// Appends the events not yet on disk to `journal_path` and fsyncs
+  /// (no-op when unset, or when a concurrent sync already made them
+  /// durable — group commit).  Called before every response; exposed for
+  /// a final flush at shutdown.  Throws when the sync fails.
+  void flush_journal();
 
   /// Dumps the flight recorder to `flight_path` (no-op when unset).
   /// Never throws — a failed dump is logged and the server keeps
@@ -220,12 +216,6 @@ class QueryServer {
   // Round-robin drainer body, run on pool workers.
   void drain_loop();
 
-  // Worst-case journal events one request may emit (task begin/end
-  // pairs across its parallel stages plus charge/refusal/abort/fault
-  // records); the dispatch-time ring-headroom check reserves this much
-  // per in-flight request.
-  [[nodiscard]] std::size_t journal_headroom() const;
-
   // Executes one request against its session; returns the response
   // frame.  `admitted` anchors the deadline (queue wait counts).  Never
   // throws — failures become sanitized error responses.
@@ -258,7 +248,9 @@ class QueryServer {
   mutable std::mutex trace_mutex_;
   core::QueryTrace trace_;
 
-  mutable std::mutex journal_mutex_;  // serializes file flushes
+  mutable std::mutex journal_mutex_;  // serializes syncs and dumps
+  std::unique_ptr<core::obs::JournalLog> journal_log_;  // null: no file
+  std::uint64_t journal_dropped_base_ = 0;  // ring drops before startup
 
   std::vector<RecoveredBudget> recovered_;
 

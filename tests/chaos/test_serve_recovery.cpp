@@ -1,19 +1,20 @@
-// Crash-safe budget recovery: the journal is flushed before every
-// response, so a server killed at ANY point can be restarted against
-// the flushed journal and reconstruct each analyst's spent epsilon
+// Crash-safe budget recovery: the journal is a sealed log, appended and
+// fsynced before every response, so a server killed at ANY point can be
+// restarted against it and reconstruct each analyst's spent epsilon
 // exactly — a crash can never refund budget (docs/robustness.md,
 // "Crash-safe budget recovery").
 //
 // The "crash" here is in-process: the first server is destroyed without
 // ceremony and the global journal ring is cleared (a new process starts
-// with an empty ring), leaving the flushed journal file as the only
-// surviving record — exactly what a real restart sees.  The CLI soak
+// with an empty ring), leaving the journal file as the only surviving
+// record — exactly what a real restart sees.  The CLI soak
 // test (tests/cli/test_serve_soak.sh) does the same drill across real
 // processes with kill -9.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -69,6 +70,17 @@ std::string ask(QueryServer& server, std::uint64_t id,
   return response;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
 ServerConfig journal_config(const std::string& path, std::size_t threads) {
   ServerConfig cfg;
   cfg.dataset_budget = 4.0;
@@ -103,7 +115,7 @@ TEST(ServeRecovery, ReplaysPerAnalystSpendExactlyAcrossRestart) {
       EXPECT_DOUBLE_EQ(first.analyst_spent("alice"), 0.875);
       EXPECT_DOUBLE_EQ(first.analyst_spent("bob"), 0.25);
       // Crash: no shutdown flush, no artifacts — the per-response
-      // flushes are all that survive.
+      // syncs are all that survive.
     }
     core::obs::EventJournal::global().clear();  // fresh-process analog
 
@@ -154,9 +166,9 @@ TEST(ServeRecovery, RestartIsIdempotentAcrossChainedCrashes) {
   {
     QueryServer second(small_trace(), journal_config(path, 2));
     EXPECT_DOUBLE_EQ(second.analyst_spent("alice"), 0.5);
-    // Crash again immediately: the only journal content on disk is
-    // still run 1's — run 2 never answered a request, so it never
-    // flushed.
+    // Crash again immediately: run 2 never answered a request, so the
+    // journal on disk is its startup compaction — run 1's spend, re-
+    // charged and sealed.
   }
   core::obs::EventJournal::global().clear();
   QueryServer third(small_trace(), journal_config(path, 2));
@@ -177,18 +189,10 @@ TEST(ServeRecovery, TamperedJournalRefusesStartup) {
   }
   core::obs::EventJournal::global().clear();
 
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  std::string text = read_file(path);
+  ASSERT_FALSE(text.empty());
   text[text.size() / 2] = static_cast<char>(text[text.size() / 2] ^ 0x1);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
+  write_file(path, text);
   EXPECT_THROW(QueryServer(small_trace(), journal_config(path, 2)),
                core::DpError);
 }
@@ -211,12 +215,11 @@ TEST(ServeRecovery, ShrunkCapRefusesStartup) {
   EXPECT_THROW(QueryServer(small_trace(), shrunk), core::DpError);
 }
 
-// A crash inside the flush window — after the temp journal is durable,
-// before the rename publishes it — must leave the PREVIOUS complete
-// journal on disk.  flush_to_file never truncates the journal in place,
-// so a kill -9 mid-flush can neither strand the restart (a truncated
-// file refuses verification) nor force the operator to delete the
-// journal (which would refund every spent epsilon).
+// A sync that fails between its write and its fsync (the
+// obs.journal.flush failpoint) withholds the value and cuts the file back
+// to its last seal, so a crash at that instant leaves the previous sealed
+// journal replayable.  A server that keeps running holds the drained
+// events: the next response's sync lands them exactly once.
 TEST(ServeRecovery, CrashMidFlushLeavesPreviousJournalReplayable) {
   const std::string path =
       ::testing::TempDir() + "/serve_recovery_midflush.jsonl";
@@ -225,33 +228,125 @@ TEST(ServeRecovery, CrashMidFlushLeavesPreviousJournalReplayable) {
     QueryServer first(small_trace(), journal_config(path, 2));
     EXPECT_NE(ask(first, 1, "alice", 0.5).find("\"status\":\"ok\""),
               std::string::npos);
-    // Crash in the window the atomic temp+fsync+rename protects.
-    core::failpoint::ScopedFailpoint crash(
-        "obs.journal.flush", [](std::string_view) {
-          throw std::runtime_error("injected crash mid-flush");
-        });
-    // The failed flush withholds the value: the charge was never made
-    // durable, so no answer may acknowledge it.
-    EXPECT_NE(ask(first, 2, "alice", 0.25).find("\"error\":\"internal\""),
+    const std::string sealed = read_file(path);
+    {
+      const core::failpoint::ScopedFailpoint crash(
+          "obs.journal.flush", [](std::string_view) {
+            throw std::runtime_error("injected crash mid-flush");
+          });
+      // The charge was never made durable, so no answer may acknowledge
+      // it.
+      EXPECT_NE(ask(first, 2, "alice", 0.25).find("\"error\":\"internal\""),
+                std::string::npos);
+    }
+    // On disk: exactly the last sealed state, which verifies.
+    EXPECT_EQ(read_file(path), sealed);
+    const core::obs::JournalVerification v =
+        core::obs::verify_journal_file(path);
+    ASSERT_TRUE(v.ok) << v.error;
+    EXPECT_EQ(v.charges, 1u);
+
+    // The next sync lands the held charge and its own, each once (the
+    // verifier rejects a repeated seq).
+    EXPECT_NE(ask(first, 3, "bob", 0.125).find("\"status\":\"ok\""),
               std::string::npos);
+    const core::obs::JournalVerification after =
+        core::obs::verify_journal_file(path);
+    ASSERT_TRUE(after.ok) << after.error;
+    EXPECT_EQ(after.charges, 3u);
+    EXPECT_EQ(after.faults, 1u);
+    EXPECT_DOUBLE_EQ(after.charged_eps_by_label.at("alice"), 0.75);
+    EXPECT_DOUBLE_EQ(after.charged_eps_by_label.at("bob"), 0.125);
   }
   core::obs::EventJournal::global().clear();  // fresh-process analog
 
-  // On disk: run 1's first complete flush, not a truncated hybrid.
+  // Restart replays every durable spend, the withheld one included (a
+  // charge stands even when its answer was withheld); serving resumes,
+  // and the startup publish leaves no temp residue behind.
+  QueryServer second(small_trace(), journal_config(path, 2));
+  ASSERT_EQ(second.recovered().size(), 2u);
+  EXPECT_DOUBLE_EQ(second.analyst_spent("alice"), 0.75);
+  EXPECT_NE(ask(second, 4, "alice", 0.125).find("\"status\":\"ok\""),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(second.analyst_spent("alice"), 0.875);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+}
+
+// The journal is append-only: a response's sync adds its events and a
+// seal, so the file before any response is a byte prefix of the file
+// after it — no response rewrites history.
+TEST(ServeRecovery, EachResponseOnlyAppendsToTheJournal) {
+  const std::string path =
+      ::testing::TempDir() + "/serve_recovery_append.jsonl";
+  std::remove(path.c_str());
+  QueryServer server(small_trace(), journal_config(path, 4));
+  std::string previous = read_file(path);  // the startup publish
+  ASSERT_FALSE(previous.empty());
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    EXPECT_NE(ask(server, id, id % 2 == 0 ? "alice" : "bob", 0.125)
+                  .find("\"status\":\"ok\""),
+              std::string::npos);
+    const std::string current = read_file(path);
+    ASSERT_GT(current.size(), previous.size()) << "id=" << id;
+    EXPECT_EQ(current.compare(0, previous.size(), previous), 0)
+        << "id=" << id;
+    previous = current;
+  }
   const core::obs::JournalVerification v =
       core::obs::verify_journal_file(path);
   ASSERT_TRUE(v.ok) << v.error;
-  EXPECT_EQ(v.charges, 1u);
+  EXPECT_EQ(v.charges, 6u);
+  EXPECT_EQ(v.unsealed_bytes, 0u);
+}
 
-  // Restart replays exactly the witnessed spend; serving resumes, and a
-  // successful flush leaves no temp residue behind.
-  QueryServer second(small_trace(), journal_config(path, 2));
+// A crash mid-append leaves the last sync's bytes cut anywhere after the
+// previous seal.  At every such cut the log reads as that seal, and a
+// restart recovers exactly the sealed spends: the cut request was never
+// acknowledged.
+TEST(ServeRecovery, CutAfterLastSealRestartsWithTheSealedSpends) {
+  const std::string path =
+      ::testing::TempDir() + "/serve_recovery_cut.jsonl";
+  std::remove(path.c_str());
+  std::string sealed;
+  std::string full;
+  {
+    QueryServer first(small_trace(), journal_config(path, 2));
+    EXPECT_NE(ask(first, 1, "alice", 0.5).find("\"status\":\"ok\""),
+              std::string::npos);
+    sealed = read_file(path);
+    EXPECT_NE(ask(first, 2, "alice", 0.25).find("\"status\":\"ok\""),
+              std::string::npos);
+    full = read_file(path);
+  }
+  core::obs::EventJournal::global().clear();
+  ASSERT_GT(full.size(), sealed.size());
+  ASSERT_EQ(full.compare(0, sealed.size(), sealed), 0);
+
+  // Every cut short of the final seal's newline (with it, the seal line
+  // is whole and the append counts).
+  for (std::size_t cut = sealed.size(); cut + 1 < full.size(); ++cut) {
+    const core::obs::JournalVerification v =
+        core::obs::verify_journal_text(std::string_view(full).substr(0, cut));
+    ASSERT_TRUE(v.ok) << "cut=" << cut << ": " << v.error;
+    EXPECT_EQ(v.charges, 1u) << "cut=" << cut;
+    EXPECT_EQ(v.unsealed_bytes, cut - sealed.size());
+  }
+  // Damage is not a cut: a flipped final newline leaves a whole seal line
+  // with a stray byte, which must refuse rather than pass as a torn tail.
+  std::string flipped = full;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x40);
+  EXPECT_FALSE(core::obs::verify_journal_text(flipped).ok);
+
+  write_file(path, full.substr(0, (sealed.size() + full.size()) / 2));
+  const QueryServer second(small_trace(), journal_config(path, 2));
   ASSERT_EQ(second.recovered().size(), 1u);
   EXPECT_DOUBLE_EQ(second.analyst_spent("alice"), 0.5);
-  EXPECT_NE(ask(second, 3, "alice", 0.125).find("\"status\":\"ok\""),
-            std::string::npos);
-  EXPECT_DOUBLE_EQ(second.analyst_spent("alice"), 0.625);
-  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  // The startup compaction dropped the tail.
+  const core::obs::JournalVerification v =
+      core::obs::verify_journal_file(path);
+  ASSERT_TRUE(v.ok) << v.error;
+  EXPECT_EQ(v.unsealed_bytes, 0u);
+  EXPECT_DOUBLE_EQ(v.charged_eps, 0.5);
 }
 
 // A missing journal file is a first boot, not an error.

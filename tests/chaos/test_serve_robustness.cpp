@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
@@ -501,35 +502,50 @@ TEST(ServeRobustness, HostileNumericFieldsAreBoundedBeforeCast) {
   EXPECT_NE(log.by_id().at(2).find("\"status\":\"ok\""), std::string::npos);
 }
 
-// --- journal ring headroom ------------------------------------------------
+// --- the journal ring never fills ---------------------------------------
 
-// When the journal ring lacks headroom for another request's events,
-// dispatch refuses with "journal-full" instead of letting an append
-// overwrite history: the ring never drops, so a long-lived server's
-// flushed journal stays replayable forever (no availability cliff whose
-// only escape would refund budget).
-TEST(ServeRobustness, JournalFullRefusesDispatchBeforeRingDrops) {
+// A journaled server takes what it syncs out of the ring, so the ring
+// only ever holds events not yet on disk.  Driving well past the
+// 65536-event ring bound (task events emitted between requests) refuses
+// nothing, drops nothing, and a restart recovers the spends exactly.
+TEST(ServeRobustness, JournaledServerRunsPastTheRingBound) {
+  const std::string path =
+      ::testing::TempDir() + "/serve_ring_bound.jsonl";
+  std::remove(path.c_str());
   ServerConfig cfg;
-  cfg.threads = 1;
-  QueryServer server(canary_trace(), cfg);  // clears the ring
-
+  cfg.threads = 2;
+  cfg.journal_path = path;
   core::obs::EventJournal& journal = core::obs::EventJournal::global();
-  const std::uint64_t dropped_before = journal.dropped();
-  // Fill the ring until less than one request's headroom remains
-  // (journal_headroom() is 8 + 8 * threads = 16 here).
-  while (journal.capacity() - journal.size() >= 16) {
-    core::obs::emit_task_begin(0);
+  constexpr std::size_t kBetween =
+      core::obs::EventJournal::kDefaultCapacity / 2;
+  {
+    QueryServer server(canary_trace(), cfg);
+    const std::uint64_t dropped_before = journal.dropped();
+    ResponseLog log;
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      for (std::size_t i = 0; i < kBetween; ++i) {
+        core::obs::emit_task_begin(i);
+      }
+      server.submit_frame(request_line(id, "alice", "count", 0.125),
+                          log.sink());
+      server.drain();
+    }
+    ASSERT_EQ(log.size(), 3u);
+    for (const auto& [id, line] : log.by_id()) {
+      EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << id;
+    }
+    EXPECT_EQ(journal.dropped(), dropped_before);
+    const core::obs::JournalVerification v =
+        core::obs::verify_journal_file(path);
+    ASSERT_TRUE(v.ok) << v.error;
+    EXPECT_EQ(v.dropped, 0u);
+    EXPECT_EQ(v.tasks, 3 * kBetween);
+    EXPECT_EQ(v.charges, 3u);
   }
-
-  ResponseLog log;
-  server.submit_frame(request_line(1, "alice", "count", 0.25), log.sink());
-  server.drain();
-  EXPECT_EQ(error_code(log.by_id().at(1)), "journal-full");
-  // The refusal charged nothing and — the point — the ring never
-  // dropped an event.
-  EXPECT_DOUBLE_EQ(server.dataset_spent(), 0.0);
-  EXPECT_EQ(journal.dropped(), dropped_before);
-  journal.clear();  // don't leave a full ring for later tests
+  journal.clear();  // fresh-process analog
+  const QueryServer restarted(canary_trace(), cfg);
+  EXPECT_DOUBLE_EQ(restarted.analyst_spent("alice"), 0.375);
+  EXPECT_DOUBLE_EQ(restarted.dataset_spent(), 0.375);
 }
 
 // --- the deadline covers queue wait ---------------------------------------

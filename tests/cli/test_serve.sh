@@ -74,6 +74,20 @@ grep -q "reconciled: journal eps == ledger eps == trace eps (exact)" \
   "$WORK/verify.out"
 "$CLI" audit tail "$WORK/j.jsonl" --json | grep -q '"kind":"refusal"'
 
+echo "== the journal is a sealed log: seals and a cut tail are not events =="
+if "$CLI" audit tail "$WORK/j.jsonl" --json --last 100 | grep -q '"seal"'; then
+  echo "audit tail printed a seal line" >&2
+  exit 1
+fi
+# Cutting into the last sync's record models a crash mid-append: verify
+# reads the log as of the previous seal and reports the ignored tail.
+jsize=$(wc -c <"$WORK/j.jsonl")
+head -c "$((jsize - 80))" "$WORK/j.jsonl" >"$WORK/j.cut.jsonl"
+"$CLI" audit verify "$WORK/j.cut.jsonl" >"$WORK/verify.cut"
+grep -q "journal ok" "$WORK/verify.cut"
+grep -q "unsealed tail of [0-9]* byte(s) ignored" "$WORK/verify.cut"
+"$CLI" audit tail "$WORK/j.cut.jsonl" >/dev/null
+
 echo "== responses never carry record contents =="
 # Telemetry and the wire protocol carry accounting metadata only; the
 # trace payloads must not surface anywhere in the server's output.

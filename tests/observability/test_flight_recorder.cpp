@@ -76,21 +76,6 @@ TEST(FlightRecorder, DumpToFileWritesCompleteDocument) {
   std::remove(path);
 }
 
-TEST(FlightRecorder, ReserveGrowsBoundWithoutLosingOrder) {
-  obs::FlightRecorder recorder(3);
-  for (int i = 0; i < 5; ++i) {
-    recorder.record("probe", "", static_cast<double>(i), "");
-  }
-  recorder.reserve(8);
-  recorder.record("probe", "", 5.0, "");
-  const auto moments = recorder.moments();
-  ASSERT_EQ(moments.size(), 4u);
-  for (std::size_t i = 1; i < moments.size(); ++i) {
-    EXPECT_LT(moments[i - 1].seq, moments[i].seq);
-  }
-  EXPECT_EQ(moments.back().seq, 5u);
-}
-
 // The construction-time kill switch: disarmed, record_moment is one
 // relaxed atomic load and the global ring does not move.
 TEST(FlightRecorder, KillSwitchSuppressesGlobalMoments) {

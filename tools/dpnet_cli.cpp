@@ -414,10 +414,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   check_flags("serve", args,
               {"--budget", "--cap", "--threads", "--queue",
                "--analyst-queue", "--deadline-ms", "--max-rows", "--seed",
-               "--max-sessions", "--journal", "--journal-capacity",
-               "--ledger", "--trace-out", "--flight", "--ops-snapshot",
-               "--ops-snapshot-interval-ms", "--burn-alert-eta-s",
-               "--ops-log", "--log-level"},
+               "--max-sessions", "--journal", "--ledger", "--trace-out",
+               "--flight", "--ops-snapshot", "--ops-snapshot-interval-ms",
+               "--burn-alert-eta-s", "--ops-log", "--log-level"},
               {});
   serve::ServerConfig cfg;
   cfg.dataset_budget = double_flag(args, "--budget", "8");
@@ -433,8 +432,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   cfg.max_sessions =
       static_cast<std::size_t>(u64_flag(args, "--max-sessions", "16"));
   cfg.journal_path = flag_value(args, "--journal", "");
-  cfg.journal_capacity = static_cast<std::size_t>(
-      u64_flag(args, "--journal-capacity", "262144"));
   cfg.flight_path = flag_value(args, "--flight", "");
   cfg.ops_snapshot_path = flag_value(args, "--ops-snapshot", "");
   cfg.ops_snapshot_interval_ms =
@@ -674,6 +671,11 @@ int cmd_audit(const std::vector<std::string>& args) {
     }
     std::printf("journal ok: %zu event(s), %llu dropped by the ring\n",
                 v.events, static_cast<unsigned long long>(v.dropped));
+    if (v.unsealed_bytes != 0) {
+      std::printf("  unsealed tail of %zu byte(s) ignored (cut mid-append; "
+                  "never acknowledged)\n",
+                  v.unsealed_bytes);
+    }
     std::printf("  charges     %8llu  (eps %.6g)\n",
                 static_cast<unsigned long long>(v.charges), v.charged_eps);
     std::printf("  refusals    %8llu  (eps %.6g, never consumed)\n",
@@ -706,7 +708,12 @@ int cmd_audit(const std::vector<std::string>& args) {
     }
     std::vector<std::string> lines;
     for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) lines.push_back(std::move(line));
+      // Not events: a sealed log's seal lines, and a final line without
+      // its newline (cut mid-append by a crash).
+      if (in.eof() || line.empty() || line.rfind("{\"seal\":", 0) == 0) {
+        continue;
+      }
+      lines.push_back(std::move(line));
     }
     if (lines.empty()) {
       std::fprintf(stderr, "error: %s is empty\n", path.c_str());
@@ -901,7 +908,8 @@ constexpr Subcommand kSubcommands[] = {
      "                   | tail <journal.jsonl> [--last N] [--json]",
      "verify or tail a flushed privacy event journal",
      "  verify: replay the hash chain and schema of a dpnet.events.v1\n"
-     "          journal (e.g. from `trace --journal`); with --audit /\n"
+     "          journal (from `trace --journal`, or a `serve --journal`\n"
+     "          sealed log, read up to its last seal); with --audit /\n"
      "          --trace, also reconcile the journal's charged epsilon sum\n"
      "          against the audit ledger / query trace (exact match;\n"
      "          accepts `trace --json` documents too)\n"
@@ -913,9 +921,9 @@ constexpr Subcommand kSubcommands[] = {
      "<in> [--budget B] [--cap C] [--threads T] [--queue N]\n"
      "                   [--analyst-queue N] [--deadline-ms D] [--max-rows N]\n"
      "                   [--seed N] [--max-sessions N] [--journal PATH]\n"
-     "                   [--journal-capacity N] [--ledger OUT.json]\n"
-     "                   [--trace-out OUT.json] [--flight PATH]\n"
-     "                   [--ops-snapshot PATH] [--ops-snapshot-interval-ms N]\n"
+     "                   [--ledger OUT.json] [--trace-out OUT.json]\n"
+     "                   [--flight PATH] [--ops-snapshot PATH]\n"
+     "                   [--ops-snapshot-interval-ms N]\n"
      "                   [--burn-alert-eta-s S] [--ops-log PATH]\n"
      "                   [--log-level L]",
      "serve mediated queries over line-delimited JSON on stdin",
@@ -934,12 +942,10 @@ constexpr Subcommand kSubcommands[] = {
      "  --max-rows N      per-request work quota in rows (default off)\n"
      "  --seed N          noise seed base (default 42)\n"
      "  --max-sessions N  distinct analyst principals (default 16)\n"
-     "  --journal PATH    durable event journal: flushed before every\n"
-     "                    response; verified and replayed at startup for\n"
-     "                    crash-safe budget recovery\n"
-     "  --journal-capacity N  event-journal ring bound (default 262144);\n"
-     "                    when the ring lacks headroom, dispatch answers\n"
-     "                    \"journal-full\" rather than drop events\n"
+     "  --journal PATH    durable event journal: a sealed log appended and\n"
+     "                    fsynced before every response; verified, replayed\n"
+     "                    and compacted at startup for crash-safe budget\n"
+     "                    recovery\n"
      "  --ledger OUT      write the merged audit ledger at shutdown\n"
      "  --trace-out OUT   write the server query trace at shutdown\n"
      "  --flight PATH     flight-recorder black box: a dpnet.flight.v1\n"

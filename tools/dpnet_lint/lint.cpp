@@ -290,8 +290,9 @@ class Analysis {
         "faults.injected",
         // privacy event journal (src/core/obs/journal.cpp): event kinds,
         // causal keys, and the hash chain — accounting metadata only
-        // (label/node_id/eps shared with the ledger above)
-        "events", "dropped", "chain", "seq", "kind",
+        // (label/node_id/eps shared with the ledger above), and the
+        // sealed log's header flag and seal record count
+        "events", "dropped", "chain", "seq", "kind", "sealed", "seal",
         // resource telemetry (bench/common.hpp, src/core/trace.cpp)
         "peak_rss_kb", "records_per_sec",
         // query-server wire protocol (src/serve/protocol.cpp): frame
