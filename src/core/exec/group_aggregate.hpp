@@ -70,10 +70,12 @@ inline ChunkBounds chunk_bounds(std::size_t n, std::size_t workers,
 /// Groups `rows` by `key(row)` with the executor, returning exactly what
 /// the sequential GroupBuilder loop returns: groups in first-occurrence
 /// order, items in input order, byte-identical at any thread count.
-template <typename V, typename KeyF>
+/// `rows` is any indexable row set with a value_type (std::vector,
+/// plan::Rows); workers only read it.
+template <typename RowSet, typename KeyF,
+          typename V = typename RowSet::value_type>
 [[nodiscard]] auto parallel_group_by(const ExecPolicy& policy,
-                                     const std::vector<V>& rows,
-                                     const KeyF& key)
+                                     const RowSet& rows, const KeyF& key)
     -> std::vector<
         Group<std::decay_t<std::invoke_result_t<KeyF, const V&>>, V>> {
   using K = std::decay_t<std::invoke_result_t<KeyF, const V&>>;

@@ -38,9 +38,11 @@
 //                          dequeue (detail: analyst name)
 //   serve.session.write    before a response frame is handed to the
 //                          session transport (detail: analyst name)
-//   obs.journal.flush      in EventJournal::flush_to_file, after the
-//                          temp file is durable and before it is
-//                          renamed over the journal path (detail: path)
+//   obs.journal.flush      in EventJournal::flush_to_file and the
+//                          journal log's startup publish, after the
+//                          temp file is durable and before the rename;
+//                          in JournalLog::sync, between the append and
+//                          its fsync (detail: path)
 //   obs.flight.dump        in FlightRecorder::dump_to_file, after the
 //                          temp file is durable and before it is
 //                          renamed over the dump path (detail: path)

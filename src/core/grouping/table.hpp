@@ -80,6 +80,19 @@ inline std::uint64_t match_bytes(std::uint64_t word, std::uint8_t byte) {
 
 }  // namespace detail
 
+/// Hash and equality through a record pointer, so a GroupTable of
+/// `const T*` dedups records by value without copying any into its
+/// insertion log (distinct and the set operators over shared rows).
+/// The pointees must outlive the table.
+template <typename T>
+struct PointeeHash {
+  std::size_t operator()(const T* p) const { return std::hash<T>{}(*p); }
+};
+template <typename T>
+struct PointeeEq {
+  bool operator()(const T* a, const T* b) const { return *a == *b; }
+};
+
 template <typename K, typename Hash = std::hash<K>,
           typename Eq = std::equal_to<K>>
 class GroupTable {
@@ -353,5 +366,9 @@ class GroupTable {
   std::vector<std::uint64_t> hashes_;
   [[no_unique_address]] Eq eq_{};
 };
+
+/// A GroupTable keyed by the record a pointer refers to (see PointeeHash).
+template <typename T>
+using RecordTable = GroupTable<const T*, PointeeHash<T>, PointeeEq<T>>;
 
 }  // namespace dpnet::core::grouping

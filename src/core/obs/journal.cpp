@@ -257,10 +257,10 @@ JournalLog::~JournalLog() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void JournalLog::sync(std::vector<Event> events, std::uint64_t dropped) {
+bool JournalLog::sync(std::vector<Event> events, std::uint64_t dropped) {
   held_.insert(held_.end(), std::make_move_iterator(events.begin()),
                std::make_move_iterator(events.end()));
-  if (held_.empty()) return;  // an earlier sync already made them durable
+  if (held_.empty()) return false;  // an earlier sync made them durable
   if (fd_ < 0) throw DpError("event journal at " + path_ + " is unusable");
   std::uint64_t chain = chain_;
   const std::string tail =
@@ -287,6 +287,7 @@ void JournalLog::sync(std::vector<Event> events, std::uint64_t dropped) {
   sealed_ += held_.size();
   size_ += tail.size();
   held_.clear();
+  return true;
 }
 
 namespace journal_detail {

@@ -198,12 +198,13 @@ class JournalLog {
   JournalLog& operator=(const JournalLog&) = delete;
 
   /// Appends `events` — after any held from a failed sync — and a seal,
-  /// then fsyncs; writes nothing when there is nothing to append.  On
+  /// then fsyncs, and returns true; writes nothing and returns false
+  /// when there is nothing to append.  On
   /// failure (the `obs.journal.flush` failpoint fires between the write
   /// and the fsync) the file is cut back to its last seal, the events
   /// stay held, and the error propagates.  If even the cut fails, every
   /// later sync throws rather than append past unknown bytes.
-  void sync(std::vector<Event> events, std::uint64_t dropped);
+  bool sync(std::vector<Event> events, std::uint64_t dropped);
 
  private:
   std::string path_;

@@ -4,10 +4,20 @@
 // charging, and trace emission in one closure chain.  The plan layer
 // separates the *what* from the *when*: each transformation builds a
 // plan::Node carrying the operator name, its stability factor, a stable
-// node id, and a deferred batch compute over its inputs' row buffers.
+// node id, and a deferred batch compute over its inputs' rows.
 // Executors (sequential aggregation calls or core::exec workers) then
 // materialize nodes on demand; materialization stays memoized and
 // thread-safe, so the same node evaluated from two workers runs once.
+//
+// Row storage (docs/architecture.md, "Row storage"): a node's rows are a
+// plan::Rows<T> — a shared, immutable base buffer plus an optional,
+// order-preserving selection of base indices.  Subset operators (where,
+// distinct, except, intersect, partition parts) emit a selection over
+// their input's base and never copy a record; a selection over a
+// selection composes into indices of the same base, so a row is never
+// more than one indirection away.  Operators that make new values build
+// a fresh base.  A selection pins its base buffer for as long as it
+// lives.
 //
 // Node ids are the determinism anchor (see docs/architecture.md):
 //
@@ -23,8 +33,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,7 +59,7 @@ inline constexpr NodeId kRootSalt = 0x706c616e726f6f74ULL;     // "planroot"
 inline constexpr NodeId kReleaseSalt = 0x72656c65617365ULL;    // "release"
 
 /// Type-erased plan node: identity, operator metadata, and DAG edges.
-/// The typed row buffer lives in the Node<T> subclass.
+/// The typed rows live in the Node<T> subclass.
 class NodeBase {
  public:
   NodeBase(NodeId id, std::string op, double op_stability,
@@ -65,14 +78,15 @@ class NodeBase {
   [[nodiscard]] const std::string& op() const { return op_; }
   [[nodiscard]] double op_stability() const { return op_stability_; }
 
-  /// True once the row buffer has been computed (or was supplied eagerly).
+  /// True once the rows have been computed (or were supplied eagerly).
   [[nodiscard]] bool materialized() const {
     return materialized_.load(std::memory_order_acquire);
   }
 
-  /// Live upstream nodes.  Edges are weak so a parent's row buffer can be
-  /// freed once every consumer has materialized (the pre-plan engine had
-  /// the same behavior by dropping compute closures).
+  /// Live upstream nodes.  Edges are weak so a parent node can be freed
+  /// once every consumer has materialized (the pre-plan engine had the
+  /// same behavior by dropping compute closures); its base buffer lives
+  /// on while any selection over it does.
   [[nodiscard]] std::vector<std::shared_ptr<const NodeBase>> inputs() const {
     std::vector<std::shared_ptr<const NodeBase>> live;
     live.reserve(inputs_.size());
@@ -138,6 +152,165 @@ class NodeBase {
   std::atomic<bool> materialized_{false};
 };
 
+/// The one row representation of a plan node: a shared, immutable base
+/// buffer plus an optional, order-preserving selection of base indices.
+///
+/// Copying a Rows never copies a record: it shares the base.  filter()
+/// and split() emit selections over the same base — a selection over a
+/// selection composes into base indices — so subset operators cost one
+/// uint32 per kept row instead of one record.  Any selection (and any
+/// Queryable viewing the base) pins the whole base buffer until it is
+/// released, even when it keeps only a few rows.
+template <typename T>
+class Rows {
+ public:
+  using value_type = T;
+
+  /// Indices are uint32, so a base may hold at most 2^32 - 1 rows.
+  static constexpr std::size_t kMaxRows =
+      std::numeric_limits<std::uint32_t>::max();
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = T;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const T*;
+    using reference = const T&;
+
+    const_iterator() = default;
+    const_iterator(const T* base, const std::uint32_t* selection,
+                   std::size_t i)
+        : base_(base), selection_(selection), i_(i) {}
+
+    reference operator*() const {
+      return selection_ != nullptr ? base_[selection_[i_]] : base_[i_];
+    }
+    pointer operator->() const { return &**this; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator prev = *this;
+      ++i_;
+      return prev;
+    }
+    bool operator==(const const_iterator& other) const {
+      return i_ == other.i_;
+    }
+
+   private:
+    const T* base_ = nullptr;
+    const std::uint32_t* selection_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  Rows() = default;
+
+  /// A fresh base holding `owned` (operators that make new values).
+  explicit Rows(std::vector<T> owned)
+      : Rows(std::make_shared<const std::vector<T>>(std::move(owned))) {}
+
+  /// Every row of a shared base, in base order.
+  explicit Rows(std::shared_ptr<const std::vector<T>> base)
+      : base_(std::move(base)) {
+    if (base_ && base_->size() > kMaxRows) {
+      throw InvalidQueryError("row buffer exceeds 2^32 - 1 rows");
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    if (selected_) return selection_.size();
+    return base_ ? base_->size() : 0;
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    return selected_ ? (*base_)[selection_[i]] : (*base_)[i];
+  }
+
+  [[nodiscard]] const_iterator begin() const {
+    return const_iterator(base_data(), selection_data(), 0);
+  }
+  [[nodiscard]] const_iterator end() const {
+    return const_iterator(base_data(), selection_data(), size());
+  }
+
+  /// The rows `keep(row)` accepts, in order, as a selection over this
+  /// base.  Copies no record.
+  template <typename Keep>
+  [[nodiscard]] Rows filter(Keep&& keep) const {
+    // Branch-free: every index is written and the cursor advances only
+    // past kept ones, so an unpredictable predicate costs no mispredicts.
+    std::vector<std::uint32_t> kept(size());
+    std::size_t n = 0;
+    for_each_indexed([&](std::uint32_t at, const T& row) {
+      kept[n] = at;
+      n += keep(row) ? 1 : 0;
+    });
+    kept.resize(n);
+    if (n < kept.capacity() / 2) kept.shrink_to_fit();
+    return Rows(base_, std::move(kept));
+  }
+
+  /// Splits the rows into `parts` selections over this base: each row
+  /// goes to part `slot_of(row)`, or nowhere when that is >= `parts`.
+  /// Row order is preserved within every part.  Copies no record.
+  template <typename SlotF>
+  [[nodiscard]] std::vector<Rows> split(std::size_t parts,
+                                        SlotF&& slot_of) const {
+    std::vector<std::vector<std::uint32_t>> kept(parts);
+    for_each_indexed([&](std::uint32_t at, const T& row) {
+      const std::size_t slot = slot_of(row);
+      if (slot < parts) kept[slot].push_back(at);
+    });
+    std::vector<Rows> out;
+    out.reserve(parts);
+    for (auto& indices : kept) out.push_back(Rows(base_, std::move(indices)));
+    return out;
+  }
+
+  /// The rows as an owned vector (copies every row; trusted side only).
+  [[nodiscard]] std::vector<T> to_vector() const {
+    return std::vector<T>(begin(), end());
+  }
+
+ private:
+  Rows(std::shared_ptr<const std::vector<T>> base,
+       std::vector<std::uint32_t> selection)
+      : base_(std::move(base)),
+        selection_(std::move(selection)),
+        selected_(true) {}
+
+  /// Calls f(base index, row) for every row, hoisting the selection
+  /// test out of the loop.
+  template <typename F>
+  void for_each_indexed(F&& f) const {
+    if (!base_) return;
+    const std::vector<T>& base = *base_;
+    if (selected_) {
+      for (const std::uint32_t at : selection_) f(at, base[at]);
+    } else {
+      const std::size_t n = base.size();
+      for (std::size_t at = 0; at < n; ++at) {
+        f(static_cast<std::uint32_t>(at), base[at]);
+      }
+    }
+  }
+
+  [[nodiscard]] const T* base_data() const {
+    return base_ ? base_->data() : nullptr;
+  }
+  [[nodiscard]] const std::uint32_t* selection_data() const {
+    return selected_ ? selection_.data() : nullptr;
+  }
+
+  std::shared_ptr<const std::vector<T>> base_;
+  std::vector<std::uint32_t> selection_;
+  bool selected_ = false;
+};
+
 /// A typed plan node: a lazily-computed, memoized batch row buffer.
 /// Materialization is thread-safe (std::call_once), so executor workers
 /// may race to force a shared node and exactly one compute runs.
@@ -145,7 +318,7 @@ template <typename T>
 class Node final : public NodeBase {
  public:
   /// Eager source node (protected datasets, partition parts).
-  Node(NodeId id, std::string op, std::vector<T> rows)
+  Node(NodeId id, std::string op, Rows<T> rows)
       : NodeBase(id, std::move(op), 1.0), rows_(std::move(rows)) {
     std::call_once(once_, [] {});
     mark_materialized();
@@ -155,7 +328,7 @@ class Node final : public NodeBase {
   /// only consulted for the trace span, after compute (when the parents
   /// are guaranteed materialized).
   Node(NodeId id, std::string op, double op_stability,
-       std::function<std::vector<T>()> compute,
+       std::function<Rows<T>()> compute,
        std::function<std::size_t()> input_size,
        std::vector<std::weak_ptr<const NodeBase>> inputs)
       : NodeBase(id, std::move(op), op_stability, std::move(inputs)),
@@ -163,7 +336,7 @@ class Node final : public NodeBase {
         input_size_(std::move(input_size)),
         traced_(tracing_armed()) {}
 
-  /// The node's row buffer, computing it on first call.  When the forcing
+  /// The node's rows, computing them on first call.  When the forcing
   /// thread has an active trace and the pipeline was built armed, the
   /// materialization records an operator span — nested under whatever
   /// span forced it, exactly like the pre-plan engine.
@@ -175,7 +348,7 @@ class Node final : public NodeBase {
   /// QueryGuard is checkpointed before the compute and charged with the
   /// produced row count after it; a throwing checkpoint leaves the
   /// once-flag unset, so an aborted node can be re-forced later.
-  const std::vector<T>& rows() {
+  const Rows<T>& rows() {
     std::call_once(once_, [this] {
       guard_checkpoint(op().c_str(), id());
       // Materialization checkpoint: the operator's wall time feeds the
@@ -207,7 +380,7 @@ class Node final : public NodeBase {
   /// Runs the deferred compute inside the analyst-exception containment
   /// boundary, with the plan.materialize failpoint armed for chaos tests
   /// (an injected throw is indistinguishable from a throwing UDF).
-  [[nodiscard]] std::vector<T> contained_compute() {
+  [[nodiscard]] Rows<T> contained_compute() {
     return contain_analyst(op().c_str(), id(), [this] {
       failpoint::hit("plan.materialize", op());
       return compute_();
@@ -215,10 +388,10 @@ class Node final : public NodeBase {
   }
 
   std::once_flag once_;
-  std::function<std::vector<T>()> compute_;
+  std::function<Rows<T>()> compute_;
   std::function<std::size_t()> input_size_;
   bool traced_ = false;
-  std::vector<T> rows_;
+  Rows<T> rows_;
 };
 
 }  // namespace dpnet::core::plan

@@ -21,7 +21,13 @@
 // build plan nodes lazily; nothing is materialized until an aggregation
 // or Partition forces it, and materializations are memoized so a shared
 // sub-query is evaluated once — even when core::exec workers race to
-// force it.
+// force it.  A node's rows are a shared immutable base plus an optional
+// selection of base indices (plan::Rows): Where, Distinct, Except,
+// Intersect and the Partition parts emit selections and copy no record,
+// and any number of Queryables can view one shared source buffer, so
+// LINQ-style `where(...).noisy_count(...)` costs one index per kept row.
+// Select, SelectMany, the groupings, Join, Concat and Union build new
+// rows.  A selection pins its whole base buffer while it lives.
 //
 // Determinism: every aggregation draws its noise from a NoiseSource
 // forked on (root noise stream, plan-node id, per-node release ordinal),
@@ -162,33 +168,40 @@ class Queryable {
   /// Wraps `data` as a protected dataset governed by `budget`.
   Queryable(std::vector<T> data, std::shared_ptr<PrivacyBudget> budget,
             std::shared_ptr<NoiseSource> noise)
+      : Queryable(std::make_shared<const std::vector<T>>(std::move(data)),
+                  std::move(budget), std::move(noise)) {}
+
+  /// Wraps a shared, immutable buffer as a protected dataset: any number
+  /// of Queryables (one per server session, say) can view one buffer
+  /// without copying it.  Every view and every selection derived from
+  /// it keeps the buffer alive.  Throws on a buffer over 2^32 - 1 rows.
+  Queryable(std::shared_ptr<const std::vector<T>> data,
+            std::shared_ptr<PrivacyBudget> budget,
+            std::shared_ptr<NoiseSource> noise)
       : charges_{{std::move(budget), 1.0}}, noise_(std::move(noise)) {
     if (!charges_.front().budget) {
       throw InvalidQueryError("queryable requires a budget");
     }
     if (!noise_) throw InvalidQueryError("queryable requires a noise source");
+    if (!data) throw InvalidQueryError("queryable requires a dataset");
     stream_ = noise_->stream_base();
     node_ = std::make_shared<plan::Node<T>>(mix64(plan::kRootSalt, stream_),
-                                            "source", std::move(data));
+                                            "source",
+                                            plan::Rows<T>(std::move(data)));
   }
 
   // ---------------------------------------------------------------------
   // Transformations
   // ---------------------------------------------------------------------
 
-  /// Keeps records satisfying `pred`.  No stability change.
+  /// Keeps records satisfying `pred` (a selection; no record is
+  /// copied).  No stability change.
   template <typename Pred>
   [[nodiscard]] Queryable<T> where(Pred pred) const {
     auto parent = node_;
     return derived<T>(
         "where", 1.0,
-        [parent, pred]() {
-          std::vector<T> out;
-          for (const auto& x : parent->rows()) {
-            if (pred(x)) out.push_back(x);
-          }
-          return out;
-        },
+        [parent, pred]() { return parent->rows().filter(pred); },
         charges_);
   }
 
@@ -204,7 +217,7 @@ class Queryable {
           std::vector<U> out;
           out.reserve(parent->rows().size());
           for (const auto& x : parent->rows()) out.push_back(f(x));
-          return out;
+          return plan::Rows<U>(std::move(out));
         },
         charges_);
   }
@@ -232,24 +245,21 @@ class Queryable {
               out.push_back(std::move(item));
             }
           }
-          return out;
+          return plan::Rows<U>(std::move(out));
         },
         detail::scale_charges(charges_, static_cast<double>(max_fanout)));
   }
 
-  /// Removes duplicate records (first occurrence kept).  Requires
-  /// std::hash<T> and operator==.  No stability change.
+  /// Removes duplicate records (first occurrence kept; a selection).
+  /// Requires std::hash<T> and operator==.  No stability change.
   [[nodiscard]] Queryable<T> distinct() const {
     auto parent = node_;
     return derived<T>(
         "distinct", 1.0,
         [parent]() {
-          std::vector<T> out;
-          grouping::GroupTable<T> seen;
-          for (const auto& x : parent->rows()) {
-            if (seen.acquire(x).second) out.push_back(x);
-          }
-          return out;
+          grouping::RecordTable<T> seen;
+          return parent->rows().filter(
+              [&seen](const T& x) { return seen.acquire(&x).second; });
         },
         charges_);
   }
@@ -267,7 +277,7 @@ class Queryable {
         [parent, key]() {
           grouping::GroupBuilder<K, T> builder;
           builder.add_rows(parent->rows(), key);
-          return builder.take();
+          return plan::Rows<Group<K, T>>(builder.take());
         },
         detail::scale_charges(charges_, 2.0));
   }
@@ -283,7 +293,8 @@ class Queryable {
     return derived<Group<K, T>>(
         "group_by", 2.0,
         [parent, key, policy]() {
-          return exec::parallel_group_by(policy, parent->rows(), key);
+          return plan::Rows<Group<K, T>>(
+              exec::parallel_group_by(policy, parent->rows(), key));
         },
         detail::scale_charges(charges_, 2.0));
   }
@@ -309,7 +320,7 @@ class Queryable {
           for (const auto& x : parent->rows()) {
             builder.add_span(key(x), x, [&] { return starts_new_span(x); });
           }
-          return builder.take();
+          return plan::Rows<Group<K, T>>(builder.take());
         },
         detail::scale_charges(charges_, 3.0));
   }
@@ -351,7 +362,7 @@ class Queryable {
             out.push_back(result(x, *matches[slot][u]));
             ++u;
           }
-          return out;
+          return plan::Rows<R>(std::move(out));
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
   }
@@ -367,10 +378,13 @@ class Queryable {
           return left->rows().size() + right->rows().size();
         },
         [left, right]() {
-          std::vector<T> out = left->rows();
+          const auto& l = left->rows();
           const auto& r = right->rows();
+          std::vector<T> out;
+          out.reserve(l.size() + r.size());
+          out.insert(out.end(), l.begin(), l.end());
           out.insert(out.end(), r.begin(), r.end());
-          return out;
+          return plan::Rows<T>(std::move(out));
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
   }
@@ -387,20 +401,21 @@ class Queryable {
           return left->rows().size() + right->rows().size();
         },
         [left, right]() {
-          grouping::GroupTable<T> emitted;
+          grouping::RecordTable<T> emitted;
           std::vector<T> out;
           for (const auto& x : left->rows()) {
-            if (emitted.acquire(x).second) out.push_back(x);
+            if (emitted.acquire(&x).second) out.push_back(x);
           }
           for (const auto& x : right->rows()) {
-            if (emitted.acquire(x).second) out.push_back(x);
+            if (emitted.acquire(&x).second) out.push_back(x);
           }
-          return out;
+          return plan::Rows<T>(std::move(out));
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
   }
 
-  /// Set difference: distinct records of this input absent from `other`.
+  /// Set difference: distinct records of this input absent from `other`
+  /// (a selection over this input's base).
   [[nodiscard]] Queryable<T> except(const Queryable<T>& other) const {
     auto left = node_;
     auto right = other.node_;
@@ -410,21 +425,18 @@ class Queryable {
           return left->rows().size() + right->rows().size();
         },
         [left, right]() {
-          grouping::GroupTable<T> removed;
-          for (const auto& y : right->rows()) removed.acquire(y);
-          grouping::GroupTable<T> emitted;
-          std::vector<T> out;
-          for (const auto& x : left->rows()) {
-            if (!removed.contains(x) && emitted.acquire(x).second) {
-              out.push_back(x);
-            }
-          }
-          return out;
+          grouping::RecordTable<T> removed;
+          for (const auto& y : right->rows()) removed.acquire(&y);
+          grouping::RecordTable<T> emitted;
+          return left->rows().filter([&](const T& x) {
+            return !removed.contains(&x) && emitted.acquire(&x).second;
+          });
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
   }
 
-  /// Set intersection of the distinct records of both inputs.
+  /// Set intersection of the distinct records of both inputs (a
+  /// selection over this input's base).
   [[nodiscard]] Queryable<T> intersect(const Queryable<T>& other) const {
     auto left = node_;
     auto right = other.node_;
@@ -434,16 +446,12 @@ class Queryable {
           return left->rows().size() + right->rows().size();
         },
         [left, right]() {
-          grouping::GroupTable<T> in_right;
-          for (const auto& y : right->rows()) in_right.acquire(y);
-          grouping::GroupTable<T> emitted;
-          std::vector<T> out;
-          for (const auto& x : left->rows()) {
-            if (in_right.contains(x) && emitted.acquire(x).second) {
-              out.push_back(x);
-            }
-          }
-          return out;
+          grouping::RecordTable<T> in_right;
+          for (const auto& y : right->rows()) in_right.acquire(&y);
+          grouping::RecordTable<T> emitted;
+          return left->rows().filter([&](const T& x) {
+            return in_right.contains(&x) && emitted.acquire(&x).second;
+          });
         },
         detail::merge_charges(charges_, other.charges_), other.node_);
   }
@@ -456,7 +464,7 @@ class Queryable {
   /// Parts are created in `keys` order, so their plan-node ids (and hence
   /// their noise streams and trace tags) do not depend on the key type's
   /// hash order.  Independent parts can be aggregated concurrently via
-  /// core::exec.
+  /// core::exec.  Each part is a selection over this input's base.
   template <typename K, typename KeyF>
   [[nodiscard]] std::unordered_map<K, Queryable<T>> partition(
       const std::vector<K>& keys, KeyF key) const {
@@ -481,14 +489,14 @@ class Queryable {
     }
     guard_checkpoint("partition", node_->id());
     // key_index slot i corresponds to keys[i] (acquire order above), so
-    // the buckets are a dense vector in `keys` order.
-    std::vector<std::vector<T>> buckets(keys.size());
-    contain_analyst("partition", node_->id(), [&] {
-      for (const auto& x : node_->rows()) {
-        const std::uint32_t slot = key_index.find(key(x));
-        if (slot != grouping::kNoSlot) buckets[slot].push_back(x);
-      }
-    });
+    // the buckets are a dense vector in `keys` order; an unlisted key's
+    // kNoSlot is past the end, so split() drops its records.
+    std::vector<plan::Rows<T>> buckets =
+        contain_analyst("partition", node_->id(), [&] {
+          return node_->rows().split(keys.size(), [&](const T& x) {
+            return std::size_t{key_index.find(key(x))};
+          });
+        });
     scope.set_stability(total_stability());
     scope.set_rows(static_cast<std::int64_t>(node_->rows().size()),
                    static_cast<std::int64_t>(buckets.size()));
@@ -639,8 +647,8 @@ class Queryable {
   [[nodiscard]] std::size_t size_unsafe() const {
     return node_->rows().size();
   }
-  [[nodiscard]] const std::vector<T>& data_unsafe() const {
-    return node_->rows();
+  [[nodiscard]] std::vector<T> data_unsafe() const {
+    return node_->rows().to_vector();
   }
   // dpnet-lint: end-trusted
 
@@ -744,7 +752,7 @@ class Queryable {
     if (other_input) inputs.push_back(std::move(other_input));
     auto derived_node = std::make_shared<plan::Node<U>>(
         node_->next_child_id(), op, op_stability,
-        std::function<std::vector<U>()>(std::move(compute)),
+        std::function<plan::Rows<U>()>(std::move(compute)),
         std::function<std::size_t()>(std::move(input_size)),
         std::move(inputs));
     return Queryable<U>(std::move(derived_node), std::move(charges), noise_,

@@ -29,8 +29,28 @@ void put(std::ostream& out, T value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-template <typename T>
-T take(std::istream& in) {
+/// A frame body already in memory, read with the istream calls
+/// take()/take_packet() use — parsing from it costs no stream set-up
+/// per record.
+class BodyCursor {
+ public:
+  explicit BodyCursor(std::string_view bytes) : rest_(bytes) {}
+
+  bool read(char* dst, std::streamsize n) {
+    const auto want = static_cast<std::size_t>(n);
+    if (want > rest_.size()) return false;
+    std::copy_n(rest_.data(), want, dst);
+    rest_.remove_prefix(want);
+    return true;
+  }
+  [[nodiscard]] bool bad() const { return false; }
+
+ private:
+  std::string_view rest_;
+};
+
+template <typename T, typename In>
+T take(In& in) {
   static_assert(std::is_trivially_copyable_v<T>);
   T value{};
   if (!in.read(reinterpret_cast<char*>(&value), sizeof(value))) {
@@ -79,7 +99,8 @@ void put_packet(std::ostream& out, const Packet& p) {
             static_cast<std::streamsize>(p.payload.size()));
 }
 
-Packet take_packet(std::istream& in) {
+template <typename In>
+Packet take_packet(In& in) {
   Packet p;
   p.timestamp = take<double>(in);
   p.src_ip = Ipv4(take<std::uint32_t>(in));
@@ -114,10 +135,12 @@ void read_exact(std::istream& in, char* dst, std::streamsize n,
   }
 }
 
-/// Parses one v2 frame.  Every failure mode is a bounded, indexed
-/// TraceFormatError (or TransientIoError for stream-level faults) — no
-/// input byte pattern may crash the reader or read out of bounds.
-Packet take_frame(std::istream& in, std::uint64_t index) {
+/// Parses one v2 frame and adds its size to `frame_bytes`.  Every failure
+/// mode is a bounded, indexed TraceFormatError (or TransientIoError for
+/// stream-level faults) — no input byte pattern may crash the reader or
+/// read out of bounds.
+Packet take_frame(std::istream& in, std::uint64_t index,
+                  std::streamoff& frame_bytes) {
   std::uint16_t marker = 0;
   read_exact(in, reinterpret_cast<char*>(&marker), sizeof(marker),
              "truncated record frame", index);
@@ -139,9 +162,12 @@ Packet take_frame(std::istream& in, std::uint64_t index) {
   if (crc != crc32(body)) {
     throw TraceFormatError("record checksum mismatch", index);
   }
-  std::istringstream body_in(std::move(body));
+  BodyCursor body_in(body);
   try {
-    return take_packet(body_in);
+    Packet p = take_packet(body_in);
+    frame_bytes += static_cast<std::streamoff>(
+        sizeof(marker) + sizeof(body_len) + body_len + sizeof(crc));
+    return p;
   } catch (const TransientIoError&) {
     throw;
   } catch (const TraceIoError&) {
@@ -168,7 +194,7 @@ std::vector<Packet> read_trace(std::istream& in,
   out.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(reader.total(), 1u << 20)));
   Packet p;
-  while (reader.next(p)) out.push_back(p);
+  while (reader.next(p)) out.push_back(std::move(p));
   return out;
 }
 
@@ -250,6 +276,7 @@ TraceReader::TraceReader(std::istream& in, TraceReadOptions options)
           TraceFormatError::kHeader);
     }
     total_ = take<std::uint64_t>(in_);
+    frame_pos_ = in_.tellg();
   } catch (const TraceFormatError&) {
     throw;
   } catch (const TransientIoError&) {
@@ -263,7 +290,7 @@ TraceReader::TraceReader(std::istream& in, TraceReadOptions options)
 bool TraceReader::next(Packet& p) {
   while (consumed_ < total_) {
     const std::uint64_t index = consumed_;
-    const std::streampos frame_start = in_.tellg();
+    const std::streampos frame_start = frame_pos_;
     try {
       if (version_ == kTraceVersionLegacy) {
         try {
@@ -276,7 +303,9 @@ bool TraceReader::next(Packet& p) {
           throw TraceFormatError("truncated or malformed record", index);
         }
       } else {
-        p = take_frame(in_, index);
+        std::streamoff frame_bytes = 0;
+        p = take_frame(in_, index, frame_bytes);
+        if (frame_pos_ != std::streampos(-1)) frame_pos_ += frame_bytes;
       }
       ++consumed_;
       core::builtin_metrics::bytes_processed().increment(kPacketFixedBytes +
@@ -303,6 +332,7 @@ bool TraceReader::next(Packet& p) {
         total_ = consumed_;
         return false;
       }
+      frame_pos_ = in_.tellg();
     }
   }
   return false;

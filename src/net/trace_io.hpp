@@ -28,6 +28,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <ios>
 #include <iosfwd>
 #include <limits>
 #include <span>
@@ -159,6 +160,9 @@ class TraceReader {
   std::uint64_t total_ = 0;
   std::uint64_t consumed_ = 0;  // intact + quarantined
   std::uint64_t quarantined_ = 0;
+  // Start of the next v2 frame (a resync's anchor), tracked by frame
+  // size so a read costs no tellg per record; -1 on unseekable streams.
+  std::streampos frame_pos_ = -1;
 };
 
 }  // namespace dpnet::net

@@ -41,7 +41,8 @@ void witness_decision(core::obs::LogLevel level, const char* kind,
 QueryServer::QueryServer(std::vector<net::Packet> records,
                          ServerConfig config)
     : cfg_(std::move(config)),
-      records_(std::move(records)),
+      records_(std::make_shared<const std::vector<net::Packet>>(
+          std::move(records))),
       root_(std::make_shared<core::RootBudget>(cfg_.dataset_budget)),
       pool_(std::max<std::size_t>(1, cfg_.threads)) {
   // The server claims the process-wide journal: the ring is cleared so
@@ -155,6 +156,8 @@ QueryServer::Session& QueryServer::session_for(const std::string& analyst,
   session->audit->set_label(analyst);
   // Noise and plan-node ids derive from (server seed, analyst name), so
   // sessions are isolated and reproducible regardless of arrival order.
+  // Every view shares the one immutable trace buffer: opening a session
+  // copies no record.
   const std::uint64_t seed =
       core::mix64(cfg_.seed, core::obs::fnv1a(analyst));
   session->view = std::make_unique<core::Queryable<net::Packet>>(
@@ -280,24 +283,25 @@ void QueryServer::drain_loop() {
                                    pending.admitted);
     try {
       // Durability before acknowledgement: if the analyst observes a
-      // response, the charge behind it is already on disk.
+      // response, the charge behind it is already on disk — and so is a
+      // flight dump covering it (flush_journal dumps after each sync
+      // that wrote).
       flush_journal();
     } catch (...) {
       // The charge stands but could not be made durable; withhold the
       // release value rather than hand out an answer a crash would
-      // disown.
+      // disown, and leave the black box of the failure behind.
       core::obs::log_event(core::obs::LogLevel::kError, "serve.error",
                            session->analyst, 0.0, "journal-flush");
       response = protocol::error_response(pending.request.id,
                                           session->analyst,
                                           {"internal", false});
+      dump_flight();
     }
-    // The black box rides the journal cadence: after every synced
-    // response the on-disk dump's trailing events match the journal's,
-    // so a kill -9 between requests leaves reconcilable artifacts.  The
-    // live snapshot is cadence-limited, so this is one clock read on
-    // most iterations.
-    dump_flight();
+    // Without a journal there is no group commit to ride, so the black
+    // box is dumped after every response.  The live snapshot is
+    // cadence-limited, so it is one clock read on most iterations.
+    if (!journal_log_) dump_flight();
     write_ops_snapshot();
     write_response(session->analyst, pending.sink, response);
 
@@ -353,7 +357,7 @@ std::string QueryServer::execute(
     response = protocol::error_response(req.id, req.analyst, err);
   }
   frames_executed_.fetch_add(1, std::memory_order_relaxed);
-  rows_processed_.fetch_add(records_.size(), std::memory_order_relaxed);
+  rows_processed_.fetch_add(records_->size(), std::memory_order_relaxed);
   {
     // All scopes are closed by now (success or unwind), so the request's
     // spans — including refused/aborted releases — merge cleanly into
@@ -464,18 +468,27 @@ void QueryServer::flush_journal() {
   const std::lock_guard<std::mutex> lock(journal_mutex_);
   // Draining under journal_mutex_ keeps the log in ring order, and is
   // the group commit: a worker whose events an earlier sync already
-  // drained finds nothing new and returns without writing.
+  // drained finds nothing new and returns without writing — or dumping.
   core::obs::EventJournal& journal = core::obs::EventJournal::global();
-  journal_log_->sync(journal.drain(),
-                     journal.dropped() - journal_dropped_base_);
+  if (journal_log_->sync(journal.drain(),
+                         journal.dropped() - journal_dropped_base_)) {
+    // One flight dump per group commit, after the sync and under the
+    // same lock: every event the sync made durable is in the dump, so a
+    // kill -9 leaves a black box that reconciles with the journal.
+    dump_flight_locked();
+  }
 }
 
 void QueryServer::dump_flight() const {
+  // journal_mutex_ also serializes dumps so the flight file tracks the
+  // journal file's cadence (sync, then dump).
+  const std::lock_guard<std::mutex> lock(journal_mutex_);
+  dump_flight_locked();
+}
+
+void QueryServer::dump_flight_locked() const {
   if (cfg_.flight_path.empty()) return;
   try {
-    // journal_mutex_ also serializes dumps so the flight file tracks the
-    // journal file's cadence (sync, then dump).
-    const std::lock_guard<std::mutex> lock(journal_mutex_);
     core::obs::FlightRecorder::global().dump_to_file(cfg_.flight_path);
   } catch (...) {
     // Diagnostic context only: a failed dump never fails a request.

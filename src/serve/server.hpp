@@ -10,6 +10,8 @@
 // budget.*.<label> gauges and journal causal keys light up per
 // analyst), plus a private Queryable view whose noise stream is seeded
 // from (server seed, analyst name) — session isolation by construction.
+// Every view shares the one immutable trace buffer, so opening a session
+// copies no record and a scan allocates only its selection's indices.
 //
 // The degradation ladder (docs/robustness.md):
 //
@@ -91,10 +93,11 @@ struct ServerConfig {
                              // verified and replayed (budget recovery),
                              // then compacted into a fresh sealed log.
   std::string flight_path;  // flight-recorder dump target; empty = no
-                            // dumps.  Written atomically alongside every
-                            // journal flush, on fault, and at shutdown,
-                            // so a kill -9 always leaves a complete
-                            // dpnet.flight.v1 black box.
+                            // dumps.  Written atomically once per journal
+                            // sync that wrote (after every response when
+                            // there is no journal), on fault, and at
+                            // shutdown, so a kill -9 always leaves a
+                            // complete dpnet.flight.v1 black box.
   std::string ops_snapshot_path;  // live dpnet.ops.v1 snapshot for
                                   // `dpnet_cli top`; empty = off
   std::uint64_t ops_snapshot_interval_ms = 1000;  // snapshot cadence
@@ -118,7 +121,8 @@ class QueryServer {
   /// a lock.
   using ResponseSink = std::function<void(const std::string& line)>;
 
-  /// Takes ownership of the trace and claims the process-wide event
+  /// Shares one immutable copy of the trace across every session (a
+  /// session view copies no record) and claims the process-wide event
   /// journal: the ring is cleared so the journal file reflects exactly
   /// this server's accounting, then — if `config.journal_path` names an
   /// existing file — the previous incarnation's journal is verified and
@@ -166,10 +170,11 @@ class QueryServer {
   /// executed request), canonical JSON.
   [[nodiscard]] std::string trace_json() const;
 
-  /// Appends the events not yet on disk to `journal_path` and fsyncs
-  /// (no-op when unset, or when a concurrent sync already made them
-  /// durable — group commit).  Called before every response; exposed for
-  /// a final flush at shutdown.  Throws when the sync fails.
+  /// Appends the events not yet on disk to `journal_path`, fsyncs, then
+  /// dumps the flight recorder under the same lock (no-op when unset, or
+  /// when a concurrent sync already made them durable — group commit, so
+  /// one dump per commit).  Called before every response; exposed for a
+  /// final flush at shutdown.  Throws when the sync fails.
   void flush_journal();
 
   /// Dumps the flight recorder to `flight_path` (no-op when unset).
@@ -227,6 +232,9 @@ class QueryServer {
   [[nodiscard]] double run_query(Session& session,
                                  const protocol::Request& req);
 
+  // dump_flight() with journal_mutex_ already held.
+  void dump_flight_locked() const;
+
   // Hands `line` to `sink` behind the serve.session.write failpoint; a
   // failed write drops the response (the charge stands) and the server
   // keeps serving.
@@ -234,7 +242,8 @@ class QueryServer {
                       const std::string& line) const;
 
   ServerConfig cfg_;
-  std::vector<net::Packet> records_;
+  // The one trace buffer every session's view shares.
+  std::shared_ptr<const std::vector<net::Packet>> records_;
   std::shared_ptr<core::PrivacyBudget> root_;
 
   mutable std::mutex mutex_;  // sessions, queues, dispatch state

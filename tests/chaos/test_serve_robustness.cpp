@@ -9,9 +9,11 @@
 // exact in binary floating point and the assertions demand equality.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -24,6 +26,7 @@
 #include "core/json.hpp"
 #include "core/metrics.hpp"
 #include "core/obs/journal.hpp"
+#include "core/obs/recorder.hpp"
 #include "net/packet.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -546,6 +549,114 @@ TEST(ServeRobustness, JournaledServerRunsPastTheRingBound) {
   const QueryServer restarted(canary_trace(), cfg);
   EXPECT_DOUBLE_EQ(restarted.analyst_spent("alice"), 0.375);
   EXPECT_DOUBLE_EQ(restarted.dataset_spent(), 0.375);
+}
+
+// --- one flight dump per group commit ------------------------------------
+
+std::size_t count_lines_with(const std::string& path,
+                             const std::string& needle) {
+  std::ifstream in(path);
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(needle) != std::string::npos) ++n;
+  }
+  return n;
+}
+
+// With a journal, the black box rides the group commit: a sync that
+// wrote dumps the flight recorder once, under the journal lock, and a
+// call that finds nothing new to sync dumps nothing.  A flight-only
+// moment marks each dump's view of the recorder.
+TEST(ServeRobustness, FlushJournalDumpsTheFlightRecorderOnlyWhenItWrote) {
+  const std::string journal_path =
+      ::testing::TempDir() + "/serve_flush_dump.jsonl";
+  const std::string flight_path =
+      ::testing::TempDir() + "/serve_flush_dump_flight.jsonl";
+  std::remove(journal_path.c_str());
+  std::remove(flight_path.c_str());
+  ServerConfig cfg;
+  cfg.threads = 1;
+  cfg.journal_path = journal_path;
+  cfg.flight_path = flight_path;
+  QueryServer server(canary_trace(), cfg);
+
+  core::obs::record_moment("test.marker", "before-sync");
+  core::obs::emit_task_begin(0);  // something new for the journal
+  server.flush_journal();
+  EXPECT_EQ(count_lines_with(flight_path, "before-sync"), 1u);
+
+  core::obs::record_moment("test.marker", "nothing-to-sync");
+  server.flush_journal();
+  EXPECT_EQ(count_lines_with(flight_path, "nothing-to-sync"), 0u);
+}
+
+// Under 8 closed-loop analysts on 4 threads, counting (non-throwing)
+// failpoints show dumps never outnumber the syncs that wrote, and at
+// quiescence the flight file's charges are the journal's.  (A fired
+// failpoint journals a fault event, which gives the next flush something
+// to write, so the counts cannot show group commits skipping dumps; the
+// test above pins that.)
+TEST(ServeRobustness, FlightDumpsNeverOutnumberJournalSyncs) {
+  const std::string journal_path =
+      ::testing::TempDir() + "/serve_group_commit.jsonl";
+  const std::string flight_path =
+      ::testing::TempDir() + "/serve_group_commit_flight.jsonl";
+  std::remove(journal_path.c_str());
+  std::remove(flight_path.c_str());
+  ServerConfig cfg;
+  cfg.threads = 4;
+  cfg.analyst_cap = 4.0;
+  cfg.dataset_budget = 64.0;
+  cfg.journal_path = journal_path;
+  cfg.flight_path = flight_path;
+  QueryServer server(canary_trace(), cfg);
+
+  std::atomic<std::size_t> syncs{0};
+  std::atomic<std::size_t> dumps{0};
+  const core::failpoint::ScopedFailpoint count_syncs(
+      "obs.journal.flush", [&](std::string_view) { syncs.fetch_add(1); });
+  const core::failpoint::ScopedFailpoint count_dumps(
+      "obs.flight.dump", [&](std::string_view) { dumps.fetch_add(1); });
+
+  constexpr std::size_t kAnalysts = 8;
+  constexpr std::uint64_t kPerAnalyst = 16;
+  std::atomic<std::size_t> ok{0};
+  // The analysts are clients outside the engine, so they get their own
+  // threads.
+  std::vector<std::thread> analysts;  // dpnet-lint: suppress(R7)
+  for (std::size_t a = 0; a < kAnalysts; ++a) {
+    analysts.emplace_back([&, a] {
+      const std::string name = "analyst" + std::to_string(a);
+      std::mutex mu;
+      std::condition_variable cv;
+      std::uint64_t answered = 0;
+      for (std::uint64_t i = 0; i < kPerAnalyst; ++i) {
+        server.submit_frame(
+            request_line(a * kPerAnalyst + i + 1, name, "count", 0.125),
+            [&](const std::string& line) {
+              if (line.find("\"status\":\"ok\"") != std::string::npos) {
+                ok.fetch_add(1);
+              }
+              const std::lock_guard<std::mutex> lock(mu);
+              ++answered;
+              cv.notify_all();
+            });
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return answered == i + 1; });
+      }
+    });
+  }
+  for (auto& t : analysts) t.join();
+  server.drain();
+
+  EXPECT_EQ(ok.load(), kAnalysts * kPerAnalyst);
+  EXPECT_GT(syncs.load(), 0u);
+  EXPECT_LE(dumps.load(), syncs.load());
+  const std::size_t journal_charges =
+      count_lines_with(journal_path, "\"kind\":\"charge\"");
+  EXPECT_EQ(journal_charges, kAnalysts * kPerAnalyst);
+  EXPECT_EQ(count_lines_with(flight_path, "\"kind\":\"charge\""),
+            journal_charges);
 }
 
 // --- the deadline covers queue wait ---------------------------------------

@@ -229,6 +229,29 @@ TEST(TraceIo, QuarantineSkipsCorruptRecordAndResyncs) {
   EXPECT_EQ(reader.quarantined(), 1u);
 }
 
+// The reader tracks frame offsets instead of asking the stream for its
+// position per record, so a resync must re-anchor them: a second corrupt
+// record after a resync is skipped as exactly as the first.
+TEST(TraceIo, QuarantineResyncsPastSeveralCorruptRecords) {
+  std::vector<Packet> trace;
+  for (int i = 0; i < 8; ++i) trace.push_back(tagged_packet(i));
+  std::string bytes = serialized(trace);
+  for (const char* tag : {"pkt-1", "pkt-4", "pkt-5"}) {
+    const std::size_t pos = bytes.find(tag);
+    ASSERT_NE(pos, std::string::npos);
+    bytes[pos] ^= 0x40;
+  }
+  std::stringstream corrupted(bytes);
+  TraceReader reader(corrupted, TraceReadOptions{.quarantine = true});
+  std::vector<Packet> got;
+  Packet p;
+  while (reader.next(p)) got.push_back(p);
+  const std::vector<Packet> expected = {trace[0], trace[2], trace[3],
+                                        trace[6], trace[7]};
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(reader.quarantined(), 3u);
+}
+
 TEST(TraceIo, QuarantineToleratesTruncatedTail) {
   std::vector<Packet> trace = {tagged_packet(0), tagged_packet(1),
                                tagged_packet(2)};

@@ -13,7 +13,8 @@
 // Beyond shape checking, it verifies the accounting invariants that make
 // the artifacts trustworthy: when a bench report carries both a query
 // trace and an audit ledger, the spans' eps_charged must sum to the
-// ledger's spend, and every "* overhead pct" result must stay under 2%;
+// ledger's spend, every "* overhead pct" result must stay under 2%, and
+// the where+noisy_count scan may cost at most 2x the raw predicate loop;
 // flight/log sequence numbers must be strictly increasing; snapshot
 // percentiles must be monotone.  Exit status 0 iff every file passes;
 // each failure prints one line.
@@ -127,6 +128,16 @@ void check_results(const JsonValue& results) {
       } else if (!(value->number < 2.0)) {
         fail(key + " " + std::to_string(value->number) +
              "% exceeds the 2% bound");
+      }
+    }
+    // The query engine's cost per query: a where+noisy_count may cost at
+    // most twice the raw predicate loop over the same records.
+    if (key == "where+noisy_count over raw predicate loop ratio") {
+      if (value == nullptr || !value->is_number()) {
+        fail("scan ratio result is not numeric");
+      } else if (!(value->number <= 2.0)) {
+        fail(key + " " + std::to_string(value->number) +
+             "x exceeds the 2x bound");
       }
     }
   }

@@ -949,8 +949,9 @@ constexpr Subcommand kSubcommands[] = {
      "  --ledger OUT      write the merged audit ledger at shutdown\n"
      "  --trace-out OUT   write the server query trace at shutdown\n"
      "  --flight PATH     flight-recorder black box: a dpnet.flight.v1\n"
-     "                    dump refreshed with every journal flush, on\n"
-     "                    fault, and at shutdown (kill -9 safe)\n"
+     "                    dump refreshed once per journal sync (every\n"
+     "                    response without --journal), on fault, and\n"
+     "                    at shutdown (kill -9 safe)\n"
      "  --ops-snapshot PATH  live dpnet.ops.v1 state file for\n"
      "                    `dpnet_cli top` (atomic replace, never torn)\n"
      "  --ops-snapshot-interval-ms N  snapshot cadence (default 1000)\n"
