@@ -4,10 +4,10 @@
 // (plan-node materialization, executor task dispatch, the release/charge
 // path, trace ingestion).  Disarmed — the default — a hit is a single
 // relaxed atomic load, the same zero-cost-when-off discipline as the
-// trace kill switch (core/trace.hpp).  Armed, the registry dispatches to
-// a per-name callback, which may throw, cancel a guard, sleep, or flip
-// stream state; each fired callback counts on the faults.injected
-// metric.
+// diagnostics switch (core/obs/diagnostics.hpp).  Armed, the registry
+// dispatches to a per-name callback, which may throw, cancel a guard,
+// sleep, or flip stream state; each fired callback counts on the
+// faults.injected metric.
 //
 // Arming is test-side plumbing:
 //

@@ -7,6 +7,7 @@
 
 #include "core/errors.hpp"
 #include "core/json.hpp"
+#include "core/obs/diagnostics.hpp"
 
 namespace dpnet::core {
 
@@ -412,8 +413,16 @@ Histogram& op_wall_ms(std::string_view kind) {
 }
 
 void observe_op_wall_ms(std::string_view kind, double ms) {
-  if (!op_histograms_enabled()) return;
-  op_wall_ms(kind).observe(ms);
+  if (!obs::diagnostics_armed()) return;
+  // Registry references are stable, so each thread resolves a kind once;
+  // the registry lookup (name build, bounds vector, mutex) would otherwise
+  // be most of the cost of every materialization's observe.
+  thread_local std::map<std::string, Histogram*, std::less<>> resolved;
+  auto it = resolved.find(kind);
+  if (it == resolved.end()) {
+    it = resolved.emplace(std::string(kind), &op_wall_ms(kind)).first;
+  }
+  it->second->observe(ms);
 }
 
 }  // namespace builtin_metrics

@@ -222,24 +222,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-namespace metrics_detail {
-
-// Kill switch for the per-operator-kind wall-time histograms, mirroring
-// the tracing layer's set_tracing_armed: bench_micro_engine A/Bs it to
-// assert the recording cost stays under the same 2% overhead bound.
-// Defaults to enabled — these histograms are the always-on latency
-// telemetry for mediated sessions.
-inline std::atomic<bool> op_histograms{true};
-
-}  // namespace metrics_detail
-
-[[nodiscard]] inline bool op_histograms_enabled() {
-  return metrics_detail::op_histograms.load(std::memory_order_relaxed);
-}
-inline void set_op_histograms_enabled(bool on) {
-  metrics_detail::op_histograms.store(on, std::memory_order_relaxed);
-}
-
 /// Built-in metric accessors (cached; safe on hot paths).
 namespace builtin_metrics {
 
@@ -280,9 +262,9 @@ Histogram& query_wall_ms();
 /// Per-operator-kind wall-time histogram ("op.wall_ms.<kind>", same
 /// bounds as query.wall_ms).  Registered on first use per kind.
 Histogram& op_wall_ms(std::string_view kind);
-/// Records `ms` into op_wall_ms(kind); a no-op when the op-histogram
-/// kill switch is off.  Called once per materialization checkpoint /
-/// release — never per record.
+/// Records `ms` into op_wall_ms(kind); a no-op while diagnostics are
+/// disarmed (core/obs/diagnostics.hpp).  Called once per materialization
+/// checkpoint / release — never per record.
 void observe_op_wall_ms(std::string_view kind, double ms);
 
 }  // namespace builtin_metrics

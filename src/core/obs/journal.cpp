@@ -297,7 +297,8 @@ void emit(EventKind kind, std::string label, std::uint64_t node_id,
   // Every journal event is also a flight-recorder moment, so the black
   // box a crashed server leaves behind carries the same trailing context
   // the journal witnessed (the dump reconciles against the flushed
-  // journal in the serve chaos drill).
+  // journal in the serve chaos drill) — while diagnostics are armed; the
+  // journal append below is unconditional.
   record_moment(event_kind_name(kind), label, eps, detail);
   EventJournal::global().append(kind, std::move(label), node_id, eps,
                                 std::move(detail));

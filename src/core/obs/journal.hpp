@@ -27,14 +27,11 @@
 // node ids, epsilons, operator/mechanism names — never record contents.
 // dpnet-lint rule R6 pins the serialized field set.
 //
-// Overhead: emission sites compile down to one relaxed atomic load when
-// the journal is disarmed (set_journal_armed(false)); the armed cost is
-// one mutex-protected ring append per *event* (releases, tasks, faults —
-// never per record).  bench_micro_engine A/Bs both configurations under
-// the same <2% bound as the tracing layer (bench_schema_check).
+// The journal has no off switch: like the ledger it reconciles with, it
+// witnesses every charge.  Its cost is one mutex-protected ring append
+// per *event* (releases, tasks, faults — never per record).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -217,79 +214,50 @@ class JournalLog {
 
 namespace journal_detail {
 
-// Construction-time kill switch, mirroring trace_detail::armed: when
-// disarmed every emission site is one relaxed atomic load and nothing is
-// recorded.  Defaults to armed — the journal is the always-on ops
-// surface for mediated sessions.
-inline std::atomic<bool> armed{true};
-
-// Out-of-line slow path: stamps the event and appends to the global
-// journal.  Only reached when armed.
+// Out-of-line: stamps the event, mirrors it into the flight recorder
+// and appends it to the global journal.
 void emit(EventKind kind, std::string label, std::uint64_t node_id,
           double eps, std::string detail);
 
 }  // namespace journal_detail
 
-[[nodiscard]] inline bool journal_armed() {
-  return journal_detail::armed.load(std::memory_order_relaxed);
-}
-inline void set_journal_armed(bool on) {
-  journal_detail::armed.store(on, std::memory_order_relaxed);
-}
-
-/// Emission hooks.  Each is a single relaxed load when disarmed; callers
-/// sit on per-release / per-task / per-fault paths, never per record.
+/// Emission hooks.  Callers sit on per-release / per-task / per-fault
+/// paths, never per record.
 inline void emit_charge(std::string label, std::uint64_t node_id,
                         double eps, std::string detail = {}) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kCharge, std::move(label), node_id, eps,
-                         std::move(detail));
-  }
+  journal_detail::emit(EventKind::kCharge, std::move(label), node_id, eps,
+                       std::move(detail));
 }
 inline void emit_refusal(std::string label, std::uint64_t node_id,
                          double eps) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kRefusal, std::move(label), node_id, eps,
-                         {});
-  }
+  journal_detail::emit(EventKind::kRefusal, std::move(label), node_id, eps,
+                       {});
 }
 inline void emit_abort(std::string_view reason) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kAbort, {}, 0, 0.0, std::string(reason));
-  }
+  journal_detail::emit(EventKind::kAbort, {}, 0, 0.0, std::string(reason));
 }
 inline void emit_task_begin(std::size_t index) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kTaskBegin, {}, mix64(kTaskSalt, index),
-                         0.0, {});
-  }
+  journal_detail::emit(EventKind::kTaskBegin, {}, mix64(kTaskSalt, index),
+                       0.0, {});
 }
 inline void emit_task_end(std::size_t index, std::string_view outcome) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kTaskEnd, {}, mix64(kTaskSalt, index),
-                         0.0, std::string(outcome));
-  }
+  journal_detail::emit(EventKind::kTaskEnd, {}, mix64(kTaskSalt, index),
+                       0.0, std::string(outcome));
 }
 inline void emit_fault(std::string_view failpoint, std::uint64_t node_id) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kFault, {}, node_id, 0.0,
-                         std::string(failpoint));
-  }
+  journal_detail::emit(EventKind::kFault, {}, node_id, 0.0,
+                       std::string(failpoint));
 }
 inline void emit_quarantine(std::string_view where) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kQuarantine, {}, 0, 0.0,
-                         std::string(where));
-  }
+  journal_detail::emit(EventKind::kQuarantine, {}, 0, 0.0,
+                       std::string(where));
 }
 /// Burn-rate forecast crossed the operator's armed ETA threshold
 /// (core/obs/burn.hpp).  `remaining_eps` is the analyst's headroom at
 /// the moment of the alert — an epsilon, like every journal magnitude.
 inline void emit_budget_alert(std::string label, double remaining_eps) {
-  if (journal_armed()) {
-    journal_detail::emit(EventKind::kBudgetAlert, std::move(label), 0,
-                         remaining_eps, "eta below threshold");
-  }
+  journal_detail::emit(EventKind::kBudgetAlert, std::move(label), 0,
+                       remaining_eps, "eta below threshold");
 }
 
 /// Offline verification result (dpnet_cli audit verify, chaos tests).

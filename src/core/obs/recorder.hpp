@@ -18,19 +18,18 @@
 // kinds, labels, operator names, epsilons, queue depths — never record
 // contents (dpnet-lint rule R6 pins the serialized field set).
 //
-// Overhead: emission sites are one relaxed atomic load when disarmed
-// (set_recorder_armed(false), the construction-time kill switch); armed,
-// one mutex-protected ring append per *moment* (spans, events, decisions
-// — never per record).  bench_micro_engine A/Bs both configurations
-// under the same <2% bound as the tracing and journal layers.
+// Cost: one mutex-protected ring append per *moment* (spans, events,
+// decisions — never per record); one relaxed load while diagnostics are
+// disarmed (core/obs/diagnostics.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "core/obs/diagnostics.hpp"
 
 namespace dpnet::core::obs {
 
@@ -97,31 +96,18 @@ class FlightRecorder {
 
 namespace recorder_detail {
 
-// Construction-time kill switch, mirroring journal_detail::armed: when
-// disarmed every emission site is one relaxed atomic load and nothing is
-// recorded.  Defaults to armed — the recorder is part of the always-on
-// ops surface for mediated sessions.
-inline std::atomic<bool> armed{true};
-
 // Out-of-line slow path: stamps the moment and appends to the global
-// recorder.  Only reached when armed.
+// recorder.  Only reached while diagnostics are armed.
 void emit(std::string_view kind, std::string label, double value,
           std::string detail);
 
 }  // namespace recorder_detail
 
-[[nodiscard]] inline bool recorder_armed() {
-  return recorder_detail::armed.load(std::memory_order_relaxed);
-}
-inline void set_recorder_armed(bool on) {
-  recorder_detail::armed.store(on, std::memory_order_relaxed);
-}
-
-/// Emission hook.  One relaxed load when disarmed; callers sit on
-/// per-span / per-event / per-decision paths, never per record.
+/// Emission hook.  Callers sit on per-span / per-event / per-decision
+/// paths, never per record.
 inline void record_moment(std::string_view kind, std::string label = {},
                           double value = 0.0, std::string detail = {}) {
-  if (recorder_armed()) {
+  if (diagnostics_armed()) {
     recorder_detail::emit(kind, std::move(label), value, std::move(detail));
   }
 }

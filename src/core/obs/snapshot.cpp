@@ -1,5 +1,6 @@
 #include "core/obs/snapshot.hpp"
 
+#include "core/obs/diagnostics.hpp"
 #include "core/obs/journal.hpp"
 
 namespace dpnet::core::obs {
@@ -10,7 +11,7 @@ OpsSnapshotWriter::OpsSnapshotWriter(std::string path,
 
 bool OpsSnapshotWriter::maybe_write(
     const std::function<std::string()>& build, bool force) {
-  if (!ops_snapshot_armed()) return false;
+  if (!diagnostics_armed()) return false;
   const auto now = std::chrono::steady_clock::now();
   {
     const std::lock_guard<std::mutex> lock(mutex_);

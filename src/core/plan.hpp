@@ -49,6 +49,7 @@
 #include "core/guard.hpp"
 #include "core/hash.hpp"
 #include "core/metrics.hpp"
+#include "core/obs/diagnostics.hpp"
 #include "core/trace.hpp"
 
 namespace dpnet::core::plan {
@@ -334,10 +335,11 @@ class Node final : public NodeBase {
       : NodeBase(id, std::move(op), op_stability, std::move(inputs)),
         compute_(std::move(compute)),
         input_size_(std::move(input_size)),
-        traced_(tracing_armed()) {}
+        traced_(obs::diagnostics_armed()) {}
 
   /// The node's rows, computing them on first call.  When the forcing
-  /// thread has an active trace and the pipeline was built armed, the
+  /// thread has an active trace and the pipeline was built with diagnostics
+  /// armed (core/obs/diagnostics.hpp), the
   /// materialization records an operator span — nested under whatever
   /// span forced it, exactly like the pre-plan engine.
   ///

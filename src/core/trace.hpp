@@ -21,7 +21,6 @@
 // contents (enforced by dpnet-lint rule R6; see docs/observability.md).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -105,11 +104,6 @@ namespace trace_detail {
 
 inline thread_local QueryTrace* tls_sink = nullptr;
 
-// Construction-time kill switch: when disarmed, Queryable::derived() skips
-// installing the tracing wrapper entirely.  Exists so bench_micro_engine
-// can A/B the cost of the armed-but-disabled check; defaults to armed.
-inline std::atomic<bool> armed{true};
-
 // Executor worker lane recording on this thread (-1 = calling thread).
 inline thread_local int tls_worker = -1;
 
@@ -122,16 +116,6 @@ inline thread_local int tls_worker = -1;
 /// The QueryTrace currently recording on this thread, or nullptr.
 [[nodiscard]] inline QueryTrace* active_trace() {
   return trace_detail::tls_sink;
-}
-
-/// True when tracing instrumentation is compiled into newly-built pipeline
-/// stages (the default).  Disarming is bench/ops plumbing only: pipelines
-/// built while disarmed never record, even under a later TraceSession.
-[[nodiscard]] inline bool tracing_armed() {
-  return trace_detail::armed.load(std::memory_order_relaxed);
-}
-inline void set_tracing_armed(bool on) {
-  trace_detail::armed.store(on, std::memory_order_relaxed);
 }
 
 /// The executor worker index spans opened on this thread are stamped

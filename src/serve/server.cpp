@@ -49,7 +49,6 @@ QueryServer::QueryServer(std::vector<net::Packet> records,
   // the journal file reflects exactly this server's accounting (recovery
   // charges included), nothing inherited from whatever ran earlier in
   // the process.
-  core::obs::set_journal_armed(true);
   core::obs::EventJournal& journal = core::obs::EventJournal::global();
   journal.clear();
   journal_dropped_base_ = journal.dropped();

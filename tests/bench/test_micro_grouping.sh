@@ -4,7 +4,9 @@
 # test fast), validates the BENCH json against dpnet.bench.v1, diffs it
 # against the checked-in baseline with bench_compare, and replays the
 # run's privacy event journal with `dpnet_cli audit verify` so
-# journal == ledger == trace epsilon reconcile exactly.
+# journal == ledger == trace epsilon reconcile exactly.  It also proves
+# the checker fails a report whose diagnostics-overhead row is missing
+# or over its 2% bound.
 #
 # The wall-time band here is deliberately loose (100%): in-suite runs
 # share the machine with the rest of ctest, so this test gates the
@@ -32,6 +34,24 @@ test -f "$WORK/BENCH_bench_micro_engine.json"
 
 echo "== schema + trace/ledger reconciliation =="
 "$CHECK" "$WORK/BENCH_bench_micro_engine.json"
+
+echo "== checker rejects a dropped or breached gated row =="
+# The document is one line; strip the row object, or rewrite its value.
+ROW='"key":"diagnostics overhead pct","value":'
+sed "s/{\"section\":\"[^\"]*\",$ROW[^}]*},//" \
+  "$WORK/BENCH_bench_micro_engine.json" > "$WORK/no_row.json"
+if grep -q "$ROW" "$WORK/no_row.json" ||
+   "$CHECK" "$WORK/no_row.json" 2>/dev/null; then
+  echo "expected a report without the diagnostics row to fail" >&2
+  exit 1
+fi
+sed "s/$ROW[0-9.e+-]*/${ROW}2.5/" \
+  "$WORK/BENCH_bench_micro_engine.json" > "$WORK/over_bound.json"
+if ! grep -q "${ROW}2.5" "$WORK/over_bound.json" ||
+   "$CHECK" "$WORK/over_bound.json" 2>/dev/null; then
+  echo "expected a 2.5% diagnostics overhead to fail" >&2
+  exit 1
+fi
 
 echo "== regression gate vs checked-in baseline =="
 "$COMPARE" --time-threshold 1.0 --baseline-dir "$BASELINES" \

@@ -93,7 +93,6 @@ struct RunResult {
 /// exact-fit release.  Returns the canonical journal flush alongside the
 /// ledger and trace for reconciliation.
 RunResult run_faulted(std::size_t threads, std::uint64_t target) {
-  obs::set_journal_armed(true);
   obs::EventJournal::global().clear();
   RunResult r;
   r.audit =

@@ -14,6 +14,7 @@
 #include "core/audit.hpp"
 #include "core/exec/executor.hpp"
 #include "core/json.hpp"
+#include "core/obs/diagnostics.hpp"
 #include "core/queryable.hpp"
 
 namespace dpnet::core {
@@ -167,10 +168,10 @@ TEST(QueryTrace, RefusedChargeMarksSpanAndChargesNothing) {
 }
 
 TEST(QueryTrace, DisarmedPipelinesSkipOperatorSpans) {
-  set_tracing_armed(false);
+  obs::set_diagnostics_armed(false);
   auto q = protect({1, 2, 3}, std::make_shared<RootBudget>(10.0));
   auto filtered = q.where([](int x) { return x > 1; });
-  set_tracing_armed(true);
+  obs::set_diagnostics_armed(true);
   QueryTrace trace;
   {
     TraceSession session(trace);

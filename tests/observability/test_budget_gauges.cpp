@@ -2,10 +2,9 @@
 // plumbing: AuditingBudget feeds budget.spent.<label> /
 // budget.remaining.<label> / budget.refusals.<label> on the global
 // MetricsRegistry (docs/observability.md), and every charge/refusal is
-// witnessed by the global EventJournal unless the journal kill switch is
-// off.  Tests here use per-case unique labels and delta-based
-// assertions: the global registry outlives individual cases when the
-// whole binary runs in one process.
+// witnessed by the global EventJournal.  Tests here use per-case unique
+// labels and delta-based assertions: the global registry outlives
+// individual cases when the whole binary runs in one process.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -135,22 +134,6 @@ TEST(BudgetGauges, PerAnalystSeriesAppearInExports) {
   const std::size_t first = prom.find(type_line);
   ASSERT_NE(first, std::string::npos);
   EXPECT_EQ(prom.find(type_line, first + 1), std::string::npos);
-}
-
-// The journal kill switch: disarmed, a charge and a refusal leave the
-// global journal untouched (the emission sites are one relaxed load);
-// re-armed, the next charge is witnessed again.
-TEST(BudgetGauges, JournalKillSwitchSuppressesEmission) {
-  auto audit =
-      std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(1.0));
-  obs::set_journal_armed(false);
-  const std::uint64_t before = obs::EventJournal::global().appended();
-  audit->charge(0.25);
-  EXPECT_THROW(audit->charge(1.0), BudgetExhaustedError);
-  EXPECT_EQ(obs::EventJournal::global().appended(), before);
-  obs::set_journal_armed(true);
-  audit->charge(0.25);
-  EXPECT_EQ(obs::EventJournal::global().appended(), before + 1);
 }
 
 // The bounded ring degrades by forgetting the oldest events — never by

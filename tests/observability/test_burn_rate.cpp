@@ -65,7 +65,6 @@ TEST(BurnRate, AuditedChargesFeedGauges) {
 // the first crossing; hovering below the threshold does not re-fire
 // (hysteresis re-arms only after the ETA recovers past 2x).
 TEST(BurnRate, AlertFiresOnceAndIsJournalWitnessed) {
-  obs::set_journal_armed(true);
   obs::BurnTracker tracker;
   tracker.set_alert_eta_s(1e9);  // any finite forecast crosses immediately
   const std::uint64_t before = obs::EventJournal::global().appended();
@@ -100,7 +99,6 @@ TEST(BurnRate, VerifierTalliesAlertEvents) {
 // A disarmed threshold (the default) never fires, keeping canonical
 // journals byte-identical for engine runs outside serve.
 TEST(BurnRate, DisarmedThresholdNeverAlerts) {
-  obs::set_journal_armed(true);
   obs::BurnTracker tracker;
   const std::uint64_t before = obs::EventJournal::global().appended();
   tracker.on_charge("burn.noalert", 1.0, 0.001);

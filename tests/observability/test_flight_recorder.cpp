@@ -3,8 +3,8 @@
 // (src/core/obs/recorder.hpp, docs/observability.md).  Unlike the event
 // journal it is not hash-chained and never replayed — it is diagnostic
 // context, so these tests pin the ring semantics (bounded, oldest-out,
-// faithful counters), the dump format, the kill switch, and the mirror
-// from journal events into ring moments.
+// faithful counters), the dump format, the diagnostics switch, and the
+// mirror from journal events into ring moments.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +16,7 @@
 #include "core/audit.hpp"
 #include "core/budget.hpp"
 #include "core/json.hpp"
+#include "core/obs/diagnostics.hpp"
 #include "core/obs/journal.hpp"
 #include "core/obs/recorder.hpp"
 
@@ -76,14 +77,14 @@ TEST(FlightRecorder, DumpToFileWritesCompleteDocument) {
   std::remove(path);
 }
 
-// The construction-time kill switch: disarmed, record_moment is one
-// relaxed atomic load and the global ring does not move.
+// The diagnostics switch: disarmed, record_moment is one relaxed atomic
+// load and the global ring does not move.
 TEST(FlightRecorder, KillSwitchSuppressesGlobalMoments) {
-  obs::set_recorder_armed(false);
+  obs::set_diagnostics_armed(false);
   const std::uint64_t before = obs::FlightRecorder::global().recorded();
   obs::record_moment("probe", "killswitch", 1.0, "");
   EXPECT_EQ(obs::FlightRecorder::global().recorded(), before);
-  obs::set_recorder_armed(true);
+  obs::set_diagnostics_armed(true);
   obs::record_moment("probe", "killswitch", 2.0, "");
   EXPECT_EQ(obs::FlightRecorder::global().recorded(), before + 1);
 }
@@ -93,8 +94,6 @@ TEST(FlightRecorder, KillSwitchSuppressesGlobalMoments) {
 // that the journal witnessed — the reconciliation the chaos drill
 // checks after kill -9.
 TEST(FlightRecorder, JournalEventsMirrorIntoRing) {
-  obs::set_journal_armed(true);
-  obs::set_recorder_armed(true);
   const std::uint64_t before = obs::FlightRecorder::global().recorded();
   auto audit =
       std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(1.0));
@@ -108,18 +107,19 @@ TEST(FlightRecorder, JournalEventsMirrorIntoRing) {
   EXPECT_DOUBLE_EQ(m.value, 0.25);
 }
 
-// Disarming the journal silences the mirror too: moments for journal
-// events ride the journal's own emission gate.
+// The journal has no switch of its own, but its mirror into the ring is
+// diagnostics: disarmed, a charge is journaled and the ring stays put.
 TEST(FlightRecorder, JournalKillSwitchSilencesMirror) {
-  obs::set_journal_armed(false);
-  obs::set_recorder_armed(true);
+  obs::set_diagnostics_armed(false);
   const std::uint64_t before = obs::FlightRecorder::global().recorded();
+  const std::uint64_t events = obs::EventJournal::global().appended();
   auto audit =
       std::make_shared<AuditingBudget>(std::make_shared<RootBudget>(1.0));
   const ScopedAuditLabel label(*audit, "flight.silenced");
   audit->charge(0.25);
+  obs::set_diagnostics_armed(true);
   EXPECT_EQ(obs::FlightRecorder::global().recorded(), before);
-  obs::set_journal_armed(true);
+  EXPECT_EQ(obs::EventJournal::global().appended(), events + 1);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/exec/executor.hpp"
+#include "core/obs/diagnostics.hpp"
 #include "core/queryable.hpp"
 
 namespace dpnet::core {
@@ -96,7 +97,7 @@ TEST(HistogramConcurrency, ObserveAndPercentileRaceCleanly) {
 
 // The real producer path: parallel aggregations feeding the built-in
 // op.wall_ms.<kind> histograms through map_parts while another task
-// snapshots them.  Exercises registration, the kill-switch check, and
+// snapshots them.  Exercises registration, the diagnostics check, and
 // the observe itself under the executor.
 TEST(HistogramConcurrency, OpWallMsFedFromExecutorWorkers) {
   const std::uint64_t before =
@@ -123,19 +124,19 @@ TEST(HistogramConcurrency, OpWallMsFedFromExecutorWorkers) {
             before + 8u * 25u);
 }
 
-// The kill switch must stop recording without perturbing anything else —
-// bench_micro_engine A/Bs it to assert the < 2% overhead bound.
+// The diagnostics switch must stop recording without perturbing anything
+// else — bench_micro_engine A/Bs it to assert the < 2% overhead bound.
 TEST(HistogramConcurrency, KillSwitchStopsRecording) {
-  ASSERT_TRUE(op_histograms_enabled());
+  ASSERT_TRUE(obs::diagnostics_armed());
   const std::uint64_t before =
       builtin_metrics::op_wall_ms("noisy_count").count();
   Queryable<int> q(std::vector<int>{1, 2, 3},
                    std::make_shared<RootBudget>(10.0),
                    std::make_shared<NoiseSource>(5));
-  set_op_histograms_enabled(false);
+  obs::set_diagnostics_armed(false);
   std::ignore = q.noisy_count(0.5);
   EXPECT_EQ(builtin_metrics::op_wall_ms("noisy_count").count(), before);
-  set_op_histograms_enabled(true);
+  obs::set_diagnostics_armed(true);
   std::ignore = q.noisy_count(0.5);
   EXPECT_EQ(builtin_metrics::op_wall_ms("noisy_count").count(), before + 1);
 }

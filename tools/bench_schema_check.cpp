@@ -13,8 +13,9 @@
 // Beyond shape checking, it verifies the accounting invariants that make
 // the artifacts trustworthy: when a bench report carries both a query
 // trace and an audit ledger, the spans' eps_charged must sum to the
-// ledger's spend, every "* overhead pct" result must stay under 2%, and
-// the where+noisy_count scan may cost at most 2x the raw predicate loop;
+// ledger's spend, the diagnostics overhead must stay under 2%, and the
+// where+noisy_count scan may cost at most 2x the raw predicate loop (a
+// bench_micro_engine report missing either row fails);
 // flight/log sequence numbers must be strictly increasing; snapshot
 // percentiles must be monotone.  Exit status 0 iff every file passes;
 // each failure prints one line.
@@ -99,7 +100,18 @@ double check_span(const JsonValue& span) {
   return total;
 }
 
-void check_results(const JsonValue& results) {
+constexpr const char* kDiagnosticsRow = "diagnostics overhead pct";
+constexpr const char* kScanRow =
+    "where+noisy_count over raw predicate loop ratio";
+
+struct GatedRows {
+  bool diagnostics = false;
+  bool scan = false;
+};
+
+/// Checks every result row and reports which gated rows it carried.
+GatedRows check_results(const JsonValue& results) {
+  GatedRows gated;
   for (const JsonValue& row : results.array) {
     if (!row.is_object() || row.find("section") == nullptr ||
         row.find("key") == nullptr) {
@@ -114,15 +126,11 @@ void check_results(const JsonValue& results) {
            "' has neither value nor paper/measured");
       continue;
     }
-    // Every always-on telemetry layer carries the same promise:
-    // recording must cost under 2% (docs/observability.md).
+    // The diagnostics channels together must cost under 2%
+    // (docs/observability.md).
     const std::string& key = row.at("key").string;
-    if (key == "tracing disabled overhead pct" ||
-        key == "op histogram overhead pct" ||
-        key == "journal armed overhead pct" ||
-        key == "flight recorder overhead pct" ||
-        key == "ops log overhead pct" ||
-        key == "ops snapshot overhead pct") {
+    if (key == kDiagnosticsRow) {
+      gated.diagnostics = true;
       if (value == nullptr || !value->is_number()) {
         fail("overhead result is not numeric");
       } else if (!(value->number < 2.0)) {
@@ -132,7 +140,8 @@ void check_results(const JsonValue& results) {
     }
     // The query engine's cost per query: a where+noisy_count may cost at
     // most twice the raw predicate loop over the same records.
-    if (key == "where+noisy_count over raw predicate loop ratio") {
+    if (key == kScanRow) {
+      gated.scan = true;
       if (value == nullptr || !value->is_number()) {
         fail("scan ratio result is not numeric");
       } else if (!(value->number <= 2.0)) {
@@ -141,6 +150,7 @@ void check_results(const JsonValue& results) {
       }
     }
   }
+  return gated;
 }
 
 void check_report(const JsonValue& doc) {
@@ -162,7 +172,19 @@ void check_report(const JsonValue& doc) {
   if (results == nullptr || !results->is_array()) {
     fail("missing or non-array 'results'");
   } else {
-    check_results(*results);
+    const GatedRows gated = check_results(*results);
+    // bench_micro_engine must carry both gated rows: a report that
+    // dropped one would otherwise pass its bound unnoticed.
+    const JsonValue* name = doc.find("name");
+    if (name != nullptr && name->is_string() &&
+        name->string == "bench_micro_engine") {
+      if (!gated.diagnostics) {
+        fail(std::string("missing gated row '") + kDiagnosticsRow + "'");
+      }
+      if (!gated.scan) {
+        fail(std::string("missing gated row '") + kScanRow + "'");
+      }
+    }
   }
 
   const JsonValue* metrics = doc.find("metrics");
